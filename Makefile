@@ -17,17 +17,14 @@ build:
 test:
 	dune runtest
 
-# The same suites with every ablatable fast path and the fault layer
-# disabled: lane merge off, geometric gap-skip off, fault injection
-# off. Guards the contract that each toggle is behaviour-preserving
-# (or, for EBRC_FAULTS, that disabling it reproduces fault-free runs).
-# A second leg turns off just the timing wheel so every suite also
-# runs against the pure-heap event core, and a third turns off the
-# hybrid packet/fluid layer so configs carrying a fluid background
-# degrade to bit-identical packet-only runs.
+# The same suites with the ablatable fast path and the fault layer
+# disabled: geometric gap-skip off, fault injection off. Guards the
+# contract that the toggle is behaviour-preserving (or, for
+# EBRC_FAULTS, that disabling it reproduces fault-free runs). A second
+# leg turns off the hybrid packet/fluid layer so configs carrying a
+# fluid background degrade to bit-identical packet-only runs.
 test-ablations:
-	EBRC_LANES=0 EBRC_GAP_SKIP=0 EBRC_FAULTS=0 dune runtest --force
-	EBRC_WHEEL=0 dune runtest --force
+	EBRC_GAP_SKIP=0 EBRC_FAULTS=0 dune runtest --force
 	EBRC_HYBRID=0 dune runtest --force
 
 # End-to-end check of the multi-process sweep service: serve a 6-task

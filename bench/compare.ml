@@ -244,62 +244,25 @@ let () =
             | _ -> false)
         | None -> false
       in
-      (* Scheduler ablations: dispatch order must be bit-identical
-         across wheel / lanes / heap (and, at the 100k-flow scale
-         point, between wheel and heap fingerprints) — a [false] is
-         fatal regardless of timing, mirroring the faults gate. The
-         timing targets are reported but not fatal: they move with the
-         host. Absent in pre-wheel records; skipped then. *)
-      let wheel_broken =
-        match member "wheel_ablation" new_json with
-        | Some wa -> (
-            (match
-               (member "wheel_droptail_ms" wa, member "heap_droptail_ms" wa)
-             with
-            | Some (Num w), Some (Num h) ->
-                Printf.printf
-                  "  wheel ablation: droptail wheel %.1f ms, heap %.1f ms \
-                   (%.2fx vs heap; target < 7 ms %s)\n"
-                  w h (h /. w)
-                  (if w < 7.0 then "met" else "missed")
-            | _ -> ());
-            match member "bit_identical" wa with
-            | Some (Bool true) ->
-                Printf.printf
-                  "  wheel ablation: wheel/lanes/heap runs bit-identical\n";
-                false
-            | Some (Bool false) ->
-                Printf.printf
-                  "  wheel ablation: FAIL — wheel/lanes/heap runs are NOT \
-                   byte-identical\n";
-                true
-            | _ -> false)
-        | None -> false
-      in
+      (* flows100k: informational scheduler timing at 10^5 pending
+         events, but fingerprint disagreement between equal-seed reruns
+         is fatal — the same determinism contract as flows1m. *)
       let flows_broken =
         match member "flows100k" new_json with
         | Some fl -> (
-            (match
-               ( member "wheel_ns_per_packet" fl,
-                 member "heap_ns_per_packet" fl )
-             with
-            | Some (Num w), Some (Num h) ->
-                Printf.printf
-                  "  flows100k: wheel %.0f ns/packet, heap %.0f ns/packet \
-                   (%.2fx vs heap; halving target %s)\n"
-                  w h (h /. w)
-                  (if w <= 0.5 *. h then "met" else "missed")
+            (match member "wheel_ns_per_packet" fl with
+            | Some (Num w) ->
+                Printf.printf "  flows100k: wheel %.0f ns/packet\n" w
             | _ -> ());
             match member "bit_identical" fl with
             | Some (Bool true) ->
                 Printf.printf
-                  "  flows100k: wheel and heap dispatch fingerprints \
-                   identical\n\n";
+                  "  flows100k: equal-seed reruns bit-identical\n\n";
                 false
             | Some (Bool false) ->
                 Printf.printf
-                  "  flows100k: FAIL — wheel and heap dispatch fingerprints \
-                   differ\n\n";
+                  "  flows100k: FAIL — equal-seed reruns disagree on the \
+                   dispatch fingerprint\n\n";
                 true
             | _ -> false)
         | None -> false
@@ -521,7 +484,6 @@ let () =
       if service_broken then failed := true;
       if chaos_broken then failed := true;
       if stream_broken then failed := true;
-      if wheel_broken then failed := true;
       if flows_broken then failed := true;
       if flows1m_broken then failed := true;
       if hybrid_broken then failed := true;

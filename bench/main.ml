@@ -259,9 +259,9 @@ let tests =
 
 (* Run the micro-benchmarks against both the monotonic clock and the
    minor-allocation counter, returning one (name, estimate) table per
-   measure. Allocation rates are the before/after evidence for the
-   simulator pooling work: a pooled hot path shows up directly as a
-   drop in minor words per run. *)
+   measure. Allocation rates track the simulator hot path: an extra
+   per-event allocation shows up directly as a rise in minor words per
+   run. *)
 let benchmark () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -393,66 +393,6 @@ let measure_ode_frontier () =
   { fixed_step_ns; points }
 
 (* ------------------------------------------------------------------ *)
-(* Freelist A/B: allocation rate and wall time, pooled vs not.         *)
-(* ------------------------------------------------------------------ *)
-
-type alloc_ab = {
-  unpooled_ms : float;
-  unpooled_mwords : float;     (* minor words per scenario run *)
-  pooled_ms : float;
-  pooled_mwords : float;
-}
-
-(* The packet/event freelists are off by default: recycled records are
-   tenured, so every boxed store into them pays a write barrier plus a
-   promotion, which measured slower than letting the records die in
-   the minor heap. This records both sides of that trade on one
-   scenario run so the regression guard keeps the decision honest. *)
-let measure_alloc_ab () =
-  let run_once () =
-    let cfg =
-      {
-        Ebrc.Scenario.default_config with
-        n_tfrc = 2;
-        n_tcp = 2;
-        queue = Ebrc.Scenario.Drop_tail { capacity = 100 };
-        duration = 10.0;
-        warmup = 2.0;
-        seed = 9;
-      }
-    in
-    ignore (Ebrc.Scenario.run cfg)
-  in
-  let measure () =
-    let reps = 5 in
-    let best = ref infinity in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      run_once ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    let words = (Gc.minor_words () -. w0) /. float_of_int reps in
-    (!best *. 1e3, words)
-  in
-  run_once ();
-  let unpooled_ms, unpooled_mwords = measure () in
-  Ebrc.Packet.set_pooling true;
-  Ebrc.Engine.set_pooling true;
-  run_once ();
-  let pooled_ms, pooled_mwords = measure () in
-  Ebrc.Packet.set_pooling false;
-  Ebrc.Engine.set_pooling false;
-  Printf.printf
-    "#############################################################\n\
-     # Packet/event freelist A/B (scenario run, best of 5)\n\
-     #############################################################\n\n\
-    \  unpooled (default)  %7.2f ms  %12.0f minor words/run\n\
-    \  pooled (EBRC_POOL)  %7.2f ms  %12.0f minor words/run\n\n"
-    unpooled_ms unpooled_mwords pooled_ms pooled_mwords;
-  { unpooled_ms; unpooled_mwords; pooled_ms; pooled_mwords }
-
-(* ------------------------------------------------------------------ *)
 (* Telemetry ablation: compile-in instrumentation must be ~free when   *)
 (* disabled (the ISSUE budget is <= 2% on the DropTail hot path), and  *)
 (* the enabled counter totals at a fixed seed are deterministic, so    *)
@@ -524,18 +464,9 @@ let measure_telemetry () =
   { telem_off_ms; telem_on_ms; telem_counters; telem_events }
 
 (* ------------------------------------------------------------------ *)
-(* FIFO-lane A/B: the k-way lane merge vs the pure binary heap.        *)
+(* Shared scenario configs and best-of timer for the ablations.        *)
 (* ------------------------------------------------------------------ *)
 
-type lanes_ab = {
-  lane_droptail_ms : float;
-  heap_droptail_ms : float;
-  lane_red_ms : float;
-  heap_red_ms : float;
-  lanes_identical : bool;  (* serialized results byte-identical *)
-}
-
-(* Shared scenario configs and best-of timer for the scheduler A/Bs. *)
 let ab_cfg queue =
   {
     Ebrc.Scenario.default_config with
@@ -548,7 +479,6 @@ let ab_cfg queue =
   }
 
 let ab_droptail = ab_cfg (Ebrc.Scenario.Drop_tail { capacity = 100 })
-let ab_red = ab_cfg (Ebrc.Scenario.Red_auto { capacity = 0 })
 
 let ab_best_of reps cfg =
   ignore (Ebrc.Scenario.run cfg);
@@ -559,52 +489,6 @@ let ab_best_of reps cfg =
     best := Float.min !best (Unix.gettimeofday () -. t0)
   done;
   !best *. 1e3
-
-(* The lane merge reproduces the heap's pop order exactly (lanes draw
-   tie-break tickets from the heap's own sequence counter), so besides
-   the timing both arms must serialize to the same bytes. The wheel is
-   held off for the whole measurement: in wheel mode no lane ever
-   registers, so lanes-vs-heap is only observable on the heap path. *)
-let measure_lanes_ab () =
-  Ebrc.Engine.set_wheel false;
-  let lane_droptail_ms, lane_red_ms, lane_bytes =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Engine.set_wheel true)
-      (fun () ->
-        let d = ab_best_of 7 ab_droptail in
-        let r = ab_best_of 7 ab_red in
-        let b =
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail)
-        in
-        (d, r, b))
-  in
-  Ebrc.Engine.set_wheel false;
-  Ebrc.Engine.set_fast_lanes false;
-  let heap_droptail_ms, heap_red_ms, heap_bytes =
-    Fun.protect
-      ~finally:(fun () ->
-        Ebrc.Engine.set_fast_lanes true;
-        Ebrc.Engine.set_wheel true)
-      (fun () ->
-        ( ab_best_of 7 ab_droptail,
-          ab_best_of 7 ab_red,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail) ))
-  in
-  let lanes_identical = String.equal lane_bytes heap_bytes in
-  Printf.printf
-    "#############################################################\n\
-     # FIFO-lane A/B (scenario run, best of 7)\n\
-     #############################################################\n\n\
-    \  droptail: lanes %7.2f ms  heap %7.2f ms  speedup %.2fx\n\
-    \  red:      lanes %7.2f ms  heap %7.2f ms  speedup %.2fx\n\
-    \  bit-identical results: %b\n\n"
-    lane_droptail_ms heap_droptail_ms
-    (heap_droptail_ms /. lane_droptail_ms)
-    lane_red_ms heap_red_ms
-    (heap_red_ms /. lane_red_ms)
-    lanes_identical;
-  { lane_droptail_ms; heap_droptail_ms; lane_red_ms; heap_red_ms;
-    lanes_identical }
 
 (* ------------------------------------------------------------------ *)
 (* Streaming-telemetry ablation: the delta stream must cost nothing    *)
@@ -677,123 +561,53 @@ let measure_stream_ablation () =
   { stream_off_ms; stream_on_ms; stream_deltas; stream_identical }
 
 (* ------------------------------------------------------------------ *)
-(* Timing-wheel A/B: wheel vs FIFO lanes vs pure heap.                 *)
-(* ------------------------------------------------------------------ *)
-
-type wheel_ab = {
-  wheel_droptail_ms : float;
-  wheel_lanes_droptail_ms : float;
-  wheel_heap_droptail_ms : float;
-  wheel_red_ms : float;
-  wheel_lanes_red_ms : float;
-  wheel_heap_red_ms : float;
-  wheel_identical : bool;
-      (* droptail results byte-identical across all three schedulers *)
-}
-
-(* The wheel draws tie-break tickets from the heap's shared sequence
-   counter and extracts the exact (time, seq) minimum, so all three
-   scheduler modes must serialize a scenario to the same bytes; the
-   gate in bench/compare.ml treats anything else as fatal. *)
-let measure_wheel_ab () =
-  let run_mode ~wheel ~lanes =
-    Ebrc.Engine.set_wheel wheel;
-    Ebrc.Engine.set_fast_lanes lanes;
-    Fun.protect
-      ~finally:(fun () ->
-        Ebrc.Engine.set_wheel true;
-        Ebrc.Engine.set_fast_lanes true)
-      (fun () ->
-        let d = ab_best_of 7 ab_droptail in
-        let r = ab_best_of 7 ab_red in
-        let b =
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run ab_droptail)
-        in
-        (d, r, b))
-  in
-  let wheel_droptail_ms, wheel_red_ms, wheel_bytes =
-    run_mode ~wheel:true ~lanes:true
-  in
-  let wheel_lanes_droptail_ms, wheel_lanes_red_ms, lane_bytes =
-    run_mode ~wheel:false ~lanes:true
-  in
-  let wheel_heap_droptail_ms, wheel_heap_red_ms, heap_bytes =
-    run_mode ~wheel:false ~lanes:false
-  in
-  let wheel_identical =
-    String.equal wheel_bytes lane_bytes && String.equal wheel_bytes heap_bytes
-  in
-  Printf.printf
-    "#############################################################\n\
-     # Timing-wheel A/B (scenario run, best of 7)\n\
-     #############################################################\n\n\
-    \  droptail: wheel %7.2f ms  lanes %7.2f ms  heap %7.2f ms  \
-     speedup vs heap %.2fx\n\
-    \  red:      wheel %7.2f ms  lanes %7.2f ms  heap %7.2f ms  \
-     speedup vs heap %.2fx\n\
-    \  bit-identical results: %b\n\n"
-    wheel_droptail_ms wheel_lanes_droptail_ms wheel_heap_droptail_ms
-    (wheel_heap_droptail_ms /. wheel_droptail_ms)
-    wheel_red_ms wheel_lanes_red_ms wheel_heap_red_ms
-    (wheel_heap_red_ms /. wheel_red_ms)
-    wheel_identical;
-  { wheel_droptail_ms; wheel_lanes_droptail_ms; wheel_heap_droptail_ms;
-    wheel_red_ms; wheel_lanes_red_ms; wheel_heap_red_ms; wheel_identical }
-
-(* ------------------------------------------------------------------ *)
 (* 100k-flow scale point: scheduler cost with 10^5 pending events.     *)
 (* ------------------------------------------------------------------ *)
 
 type flows100k = {
   fl_flows : int;
   fl_events : int;
-  fl_wheel_ns : float;     (* ns per packet tick, wheel scheduler *)
-  fl_heap_ns : float;      (* ns per packet tick, pure heap *)
-  fl_identical : bool;     (* dispatch-order fingerprints equal *)
+  fl_wheel_ns : float;     (* ns per packet tick *)
+  fl_identical : bool;     (* equal-seed reruns agree on fingerprint *)
 }
 
 (* Scenario benches hold a few dozen pending events — heap depth ~5 —
    so they can't see the scheduler's asymptotic cost. The flock pins
-   ~10^5 events in the pending set, where a binary heap pays ~17
+   ~10^5 events in the pending set, where a binary heap would pay ~17
    cache-missing sift levels per operation and the wheel stays O(1).
    Flock members are deliberately minimal (bump a sequence number,
    fold the dispatch fingerprint, reschedule) so ns/packet is
    scheduler cost, not protocol work. *)
 let measure_flows100k () =
   let flows = 100_000 and duration = 10.0 and seed = 1 in
-  let leg () =
-    let best = ref infinity in
-    let stats = ref None in
-    for _ = 1 to 3 do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      let s = Ebrc.Flock.run ~flows ~duration ~seed () in
-      best := Float.min !best (Unix.gettimeofday () -. t0);
-      stats := Some s
-    done;
-    let s = Option.get !stats in
-    (!best *. 1e9 /. float s.Ebrc.Flock.events, s)
-  in
-  Ebrc.Engine.set_wheel true;
-  let fl_wheel_ns, wheel_stats = leg () in
-  Ebrc.Engine.set_wheel false;
-  let fl_heap_ns, heap_stats =
-    Fun.protect ~finally:(fun () -> Ebrc.Engine.set_wheel true) leg
-  in
-  let fl_identical =
-    wheel_stats.Ebrc.Flock.fingerprint = heap_stats.Ebrc.Flock.fingerprint
-    && wheel_stats.Ebrc.Flock.events = heap_stats.Ebrc.Flock.events
-  in
+  let best = ref infinity in
+  let last = ref None in
+  let identical = ref true in
+  for _ = 1 to 3 do
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    let s = Ebrc.Flock.run ~flows ~duration ~seed () in
+    best := Float.min !best (Unix.gettimeofday () -. t0);
+    (match !last with
+    | Some (prev : Ebrc.Flock.stats) ->
+        identical :=
+          !identical
+          && prev.fingerprint = s.fingerprint
+          && prev.events = s.events
+    | None -> ());
+    last := Some s
+  done;
+  let s = Option.get !last in
+  let fl_wheel_ns = !best *. 1e9 /. float s.Ebrc.Flock.events in
   Printf.printf
     "#############################################################\n\
      # 100k-flow scale point (%d flows, %d events, best of 3)\n\
      #############################################################\n\n\
-    \  wheel %7.1f ns/packet   heap %7.1f ns/packet   speedup %.2fx\n\
-    \  bit-identical dispatch order: %b\n\n"
-    flows wheel_stats.Ebrc.Flock.events fl_wheel_ns fl_heap_ns
-    (fl_heap_ns /. fl_wheel_ns) fl_identical;
-  { fl_flows = flows; fl_events = wheel_stats.Ebrc.Flock.events;
-    fl_wheel_ns; fl_heap_ns; fl_identical }
+    \  wheel %7.1f ns/packet\n\
+    \  equal-seed reruns bit-identical: %b\n\n"
+    flows s.Ebrc.Flock.events fl_wheel_ns !identical;
+  { fl_flows = flows; fl_events = s.Ebrc.Flock.events; fl_wheel_ns;
+    fl_identical = !identical }
 
 (* ------------------------------------------------------------------ *)
 (* flows1m: the hybrid packet/fluid scale point.                       *)
@@ -1467,9 +1281,8 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
-    ~lanes ~wheel ~flows ~flows1m ~hybrid ~faults ~gap ~cache ~sweep ~service
-    ~chaos =
+let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
+    ~flows1m ~hybrid ~faults ~gap ~cache ~sweep ~service ~chaos =
   let ns_per_run, minor_per_run = microbench in
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let date =
@@ -1523,15 +1336,6 @@ let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
     frontier.points;
   Printf.fprintf oc "    ]\n  },\n";
   Printf.fprintf oc
-    "  \"freelist_ablation\": {\n\
-    \    \"unpooled_ms\": %.3f,\n\
-    \    \"unpooled_minor_words\": %.0f,\n\
-    \    \"pooled_ms\": %.3f,\n\
-    \    \"pooled_minor_words\": %.0f\n\
-    \  },\n"
-    alloc.unpooled_ms alloc.unpooled_mwords alloc.pooled_ms
-    alloc.pooled_mwords;
-  Printf.fprintf oc
     "  \"telemetry_summary\": {\n\
     \    \"disabled_ms\": %.3f,\n\
     \    \"enabled_ms\": %.3f,\n\
@@ -1562,50 +1366,13 @@ let write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
     (100.0 *. ((stream.stream_on_ms /. stream.stream_off_ms) -. 1.0))
     stream.stream_deltas stream.stream_identical;
   Printf.fprintf oc
-    "  \"lanes_ablation\": {\n\
-    \    \"lane_droptail_ms\": %.3f,\n\
-    \    \"heap_droptail_ms\": %.3f,\n\
-    \    \"droptail_speedup\": %.3f,\n\
-    \    \"lane_red_ms\": %.3f,\n\
-    \    \"heap_red_ms\": %.3f,\n\
-    \    \"red_speedup\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    lanes.lane_droptail_ms lanes.heap_droptail_ms
-    (lanes.heap_droptail_ms /. lanes.lane_droptail_ms)
-    lanes.lane_red_ms lanes.heap_red_ms
-    (lanes.heap_red_ms /. lanes.lane_red_ms)
-    lanes.lanes_identical;
-  Printf.fprintf oc
-    "  \"wheel_ablation\": {\n\
-    \    \"wheel_droptail_ms\": %.3f,\n\
-    \    \"lanes_droptail_ms\": %.3f,\n\
-    \    \"heap_droptail_ms\": %.3f,\n\
-    \    \"droptail_speedup_vs_heap\": %.3f,\n\
-    \    \"wheel_red_ms\": %.3f,\n\
-    \    \"lanes_red_ms\": %.3f,\n\
-    \    \"heap_red_ms\": %.3f,\n\
-    \    \"red_speedup_vs_heap\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    wheel.wheel_droptail_ms wheel.wheel_lanes_droptail_ms
-    wheel.wheel_heap_droptail_ms
-    (wheel.wheel_heap_droptail_ms /. wheel.wheel_droptail_ms)
-    wheel.wheel_red_ms wheel.wheel_lanes_red_ms wheel.wheel_heap_red_ms
-    (wheel.wheel_heap_red_ms /. wheel.wheel_red_ms)
-    wheel.wheel_identical;
-  Printf.fprintf oc
     "  \"flows100k\": {\n\
     \    \"flows\": %d,\n\
     \    \"events\": %d,\n\
     \    \"wheel_ns_per_packet\": %.2f,\n\
-    \    \"heap_ns_per_packet\": %.2f,\n\
-    \    \"speedup_vs_heap\": %.3f,\n\
     \    \"bit_identical\": %b\n\
     \  },\n"
-    flows.fl_flows flows.fl_events flows.fl_wheel_ns flows.fl_heap_ns
-    (flows.fl_heap_ns /. flows.fl_wheel_ns)
-    flows.fl_identical;
+    flows.fl_flows flows.fl_events flows.fl_wheel_ns flows.fl_identical;
   Printf.fprintf oc
     "  \"flows1m\": {\n\
     \    \"fg_flows\": %d,\n\
@@ -1720,10 +1487,8 @@ let () =
     ignore (measure_sweep_service ())
   else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "chaos" then
     ignore (measure_chaos_soak ())
-  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "wheel" then begin
-    ignore (measure_wheel_ab ());
+  else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "wheel" then
     ignore (measure_flows100k ())
-  end
   else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "scale" then begin
     let flows = measure_flows100k () in
     ignore (measure_flows1m flows);
@@ -1739,11 +1504,8 @@ let () =
     let microbench = benchmark () in
     print_bench_results microbench;
     let frontier = measure_ode_frontier () in
-    let alloc = measure_alloc_ab () in
     let telem = measure_telemetry () in
     let stream = measure_stream_ablation () in
-    let lanes = measure_lanes_ab () in
-    let wheel = measure_wheel_ab () in
     let flows = measure_flows100k () in
     let flows1m = measure_flows1m flows in
     let hybrid = measure_hybrid_ablation () in
@@ -1753,8 +1515,7 @@ let () =
     let sweep = measure_parallel_sweep () in
     let service = measure_sweep_service () in
     let chaos = measure_chaos_soak () in
-    write_json ~figure_seconds ~microbench ~frontier ~alloc ~telem ~stream
-      ~lanes ~wheel ~flows ~flows1m ~hybrid ~faults ~gap ~cache ~sweep
-      ~service ~chaos;
+    write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
+      ~flows1m ~hybrid ~faults ~gap ~cache ~sweep ~service ~chaos;
     print_endline "\nbench: done."
   end

@@ -76,19 +76,6 @@ let no_cache_arg =
 
 let apply_cache no_cache = if no_cache then Ebrc.Result_cache.set_enabled false
 
-(* Event core: the timing wheel is on by default; --no-wheel (or
-   EBRC_WHEEL=0) drops every engine back to the pure binary heap.
-   Dispatch order is bit-identical either way — the toggle exists for
-   A/B timing and for isolating a suspected scheduler bug. *)
-let no_wheel_arg =
-  Arg.(
-    value & flag
-    & info [ "no-wheel" ]
-        ~doc:
-          "Schedule every event on the binary heap instead of the            hierarchical timing wheel (outputs are byte-identical either            way; see also EBRC_WHEEL=0).")
-
-let apply_wheel no_wheel = if no_wheel then Ebrc.Engine.set_wheel false
-
 (* Hybrid packet/fluid layer: on by default; --no-hybrid (or
    EBRC_HYBRID=0) makes every scenario ignore its [background] config
    and run packet-only — structurally inert, so such a run is
@@ -319,7 +306,7 @@ let figure_cmd =
       & opt (some dir) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")
   in
-  let run id full csv jobs no_cache no_wheel no_hybrid keep_going only_task
+  let run id full csv jobs no_cache no_hybrid keep_going only_task
       budgets telem obs =
     let quick = not full in
     (* Unknown ids are a usage error: list the valid names and exit 2
@@ -331,7 +318,6 @@ let figure_cmd =
     end;
     try
       apply_cache no_cache;
-      apply_wheel no_wheel;
       apply_hybrid no_hybrid;
       apply_budgets budgets;
       apply_only_task only_task;
@@ -379,7 +365,7 @@ let figure_cmd =
     Term.(
       ret
         (const run $ id $ full $ csv $ jobs_arg $ no_cache_arg
-       $ no_wheel_arg $ no_hybrid_arg $ keep_going_arg $ only_task_arg
+       $ no_hybrid_arg $ keep_going_arg $ only_task_arg
        $ budget_args $ telemetry_args $ obs_args))
 
 (* --- list --- *)
@@ -652,10 +638,9 @@ let report_cmd =
       value & flag
       & info [ "full" ] ~doc:"Paper-scale sweeps instead of quick mode.")
   in
-  let run out ids full jobs no_cache no_wheel no_hybrid keep_going budgets
+  let run out ids full jobs no_cache no_hybrid keep_going budgets
       telem obs =
     apply_cache no_cache;
-    apply_wheel no_wheel;
     apply_hybrid no_hybrid;
     apply_budgets budgets;
     let jobs = resolve_jobs jobs in
@@ -686,8 +671,8 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Regenerate figures into a self-contained markdown report.")
     Term.(
-      const run $ out $ ids $ full $ jobs_arg $ no_cache_arg $ no_wheel_arg
-      $ no_hybrid_arg $ keep_going_arg $ budget_args $ telemetry_args
+      const run $ out $ ids $ full $ jobs_arg $ no_cache_arg $ no_hybrid_arg
+      $ keep_going_arg $ budget_args $ telemetry_args
       $ obs_args)
 
 (* --- validate: assert the paper's qualitative claims --- *)
@@ -698,9 +683,8 @@ let validate_cmd =
       value & flag
       & info [ "full" ] ~doc:"Run the long (paper-scale) validations.")
   in
-  let run full jobs no_cache no_wheel no_hybrid telem obs =
+  let run full jobs no_cache no_hybrid telem obs =
     apply_cache no_cache;
-    apply_wheel no_wheel;
     apply_hybrid no_hybrid;
     let jobs = resolve_jobs jobs in
     with_observability ~cmd:"validate"
@@ -724,8 +708,8 @@ let validate_cmd =
           gate).")
     Term.(
       ret
-        (const run $ full $ jobs_arg $ no_cache_arg $ no_wheel_arg
-       $ no_hybrid_arg $ telemetry_args $ obs_args))
+        (const run $ full $ jobs_arg $ no_cache_arg $ no_hybrid_arg
+       $ telemetry_args $ obs_args))
 
 (* --- status: tail live telemetry streams --- *)
 
@@ -1106,12 +1090,11 @@ let worker_cmd =
             "Keep polling for new tasks instead of exiting once the \
              queue drains.")
   in
-  let run queue store id ttl retries poll max_tasks follow chaos no_wheel
-      no_hybrid budgets telem obs =
+  let run queue store id ttl retries poll max_tasks follow chaos no_hybrid
+      budgets telem obs =
     if ttl <= 0.0 then `Error (false, "ttl must be > 0")
     else if poll <= 0.0 then `Error (false, "poll must be > 0")
     else begin
-      apply_wheel no_wheel;
       apply_hybrid no_hybrid;
       apply_budgets budgets;
       apply_chaos chaos;
@@ -1156,7 +1139,7 @@ let worker_cmd =
     Term.(
       ret
         (const run $ queue $ store $ id $ ttl $ retries $ poll $ max_tasks
-       $ follow $ chaos_arg $ no_wheel_arg $ no_hybrid_arg $ budget_args
+       $ follow $ chaos_arg $ no_hybrid_arg $ budget_args
        $ telemetry_args $ obs_args))
 
 let scrub_cmd =

@@ -1155,9 +1155,7 @@ let ablation_window_growth ?(jobs = 1) ~quick () =
     let sender = TS.create ~engine ~flow:0 () in
     let receiver = TR.create ~engine ~flow:0 () in
     TS.set_transmit sender (fun pkt -> Link.send link pkt);
-    Link.set_deliver link (fun pkt ->
-        TR.on_data receiver pkt;
-        Ebrc_net.Packet.release pkt);
+    Link.set_deliver link (TR.on_data receiver);
     TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
         ignore
           (Engine.schedule_after engine ~delay:0.025 (fun () ->
@@ -1362,9 +1360,7 @@ let ablation_tcp_variant ?(jobs = 1) ~quick () =
     let sender = TS.create ~variant ~engine ~flow:0 () in
     let receiver = TR.create ~engine ~flow:0 () in
     TS.set_transmit sender (fun pkt -> Link.send link pkt);
-    Link.set_deliver link (fun pkt ->
-        TR.on_data receiver pkt;
-        Ebrc_net.Packet.release pkt);
+    Link.set_deliver link (TR.on_data receiver);
     TR.set_ack_sink receiver (fun ~acked ~dup ~echo ->
         ignore
           (Engine.schedule_after engine ~delay:0.025 (fun () ->

@@ -315,15 +315,11 @@ let run cfg =
         in
         let rd = reverse_delay () in
         Tfrc_sender.set_transmit ts forward;
-        (* Feedback is emitted in time order and delayed by the
-           per-flow constant [rd], so the reverse path is FIFO and can
-           ride a fast lane instead of the heap. A blackout filter
-           composes with that proof: it only removes pushes. *)
-        let fb_lane = Engine.lane engine in
+        (* Feedback crosses the fixed-delay reverse path: the per-flow
+           constant [rd]. *)
         Tfrc_receiver.set_feedback_sink tr
           (feedback_sink (fun pkt ->
-               Engine.lane_push fb_lane
-                 ~at:(Engine.now engine +. rd)
+               Engine.schedule_after_unit engine ~delay:rd
                  (fun () -> Tfrc_sender.on_packet ts pkt)));
         { ts; tr })
   in
@@ -341,11 +337,9 @@ let run cfg =
            TFRC-feedback-only, so TCP acks stay clean — the contrast
            isolates the nofeedback-timer mechanism. *)
         Tcp_sender.set_transmit cs forward;
-        (* Acks are generated at delivery times (monotone) and delayed
-           by the per-flow constant [rd] — FIFO, same as feedback. *)
-        let ack_lane = Engine.lane engine in
+        (* Acks take the same fixed-delay reverse path as feedback. *)
         Tcp_receiver.set_ack_sink cr (fun ~acked ~dup ~echo ->
-            Engine.lane_push_after ack_lane ~delay:rd (fun () ->
+            Engine.schedule_after_unit engine ~delay:rd (fun () ->
                 Tcp_sender.on_ack cs ~acked ~dup ~echo));
         { cs; cr })
   in
@@ -372,16 +366,13 @@ let run cfg =
   Link.set_deliver link (fun pkt ->
       let now = engine.Engine.now in
       let f = pkt.Packet.flow in
-      (if f < cfg.n_tfrc then Tfrc_receiver.on_data tfrc_flows.(f).tr pkt
-       else if f < cfg.n_tfrc + cfg.n_tcp then
-         Tcp_receiver.on_data tcp_flows.(f - cfg.n_tfrc).cr pkt
-       else
-         match probe with
-         | Some (_, sink) -> Gap_sink.on_packet sink ~now pkt
-         | None -> ());
-      (* Receivers read fields synchronously and never retain the
-         packet, so it can be recycled here. *)
-      Packet.release pkt);
+      if f < cfg.n_tfrc then Tfrc_receiver.on_data tfrc_flows.(f).tr pkt
+      else if f < cfg.n_tfrc + cfg.n_tcp then
+        Tcp_receiver.on_data tcp_flows.(f - cfg.n_tfrc).cr pkt
+      else
+        match probe with
+        | Some (_, sink) -> Gap_sink.on_packet sink ~now pkt
+        | None -> ());
   (* --- start: staggered over the first second to avoid lockstep --- *)
   Array.iter
     (fun fl ->

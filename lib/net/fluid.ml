@@ -28,7 +28,7 @@
    the link scales foreground service capacity by the share the fluid
    is not using (Link.attach_fluid).
 
-   Like the wheel/lanes/faults layers, the whole component sits behind
+   Like the fault layer, the whole component sits behind
    a global toggle: with [EBRC_HYBRID=0] / [set_hybrid false] nothing
    is ever attached and the packet path is structurally identical to a
    fluid-free build. *)
@@ -45,7 +45,7 @@ let m_steps =
 let m_queue =
   Tm.Gauge.make ~help:"fluid background backlog (packets)" "fluid.queue"
 
-(* Global A/B toggle (precedent: Fault.enabled, Engine.set_wheel).
+(* Global A/B toggle (precedent: Fault.enabled, Loss_module.gap_skip).
    Sampled by the scenario/bench when deciding whether to attach a
    fluid background: with the toggle off nothing is created, so the
    disabled path is structurally the packet-only engine. *)

@@ -76,7 +76,7 @@ let bernoulli_gap rng ~p =
     }
   end
 
-(* A/B toggle in the style of [Engine.set_fast_lanes]: gap skipping is
+(* A/B toggle in the style of [Fault.enabled]: gap skipping is
    statistically (not bit-) equivalent to the per-packet draw — it
    consumes the RNG differently — so the per-packet path stays
    available as the ablation (EBRC_GAP_SKIP=0). *)

@@ -89,8 +89,8 @@ val fits : 'h t -> now:float -> at:float -> bool
 (** Whether an event at absolute time [at] lands inside the wheel
     window. Call this {e before} drawing a tie-break ticket: a [false]
     answer means the event must go to the overflow heap, whose own push
-    draws the ticket instead — that ordering is what keeps the merged
-    dispatch order bit-identical to a pure-heap run. May advance the
+    draws the ticket instead — that ordering keeps tickets, and so the
+    merged dispatch order, in scheduling order. May advance the
     cursor when the wheel is idle (re-anchoring at [now]). *)
 
 val push : 'h t -> time:float -> seq:int -> (unit -> unit) -> 'h -> unit

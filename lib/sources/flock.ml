@@ -149,8 +149,7 @@ let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
   Link.set_deliver link (fun pkt ->
       delivered := !delivered + 1;
       fp :=
-        ((!fp * fnv_prime) + pkt.Packet.flow) * fnv_prime + pkt.Packet.seq;
-      Packet.release pkt);
+        ((!fp * fnv_prime) + pkt.Packet.flow) * fnv_prime + pkt.Packet.seq);
   Link.set_on_drop link (fun pkt ->
       dropped := !dropped + 1;
       (* Drops mix with the complemented sequence so a dropped and a

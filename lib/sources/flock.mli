@@ -36,9 +36,8 @@ val pool : t -> Flow_pool.t
 (** The flock's backing flow pool. *)
 
 val run : ?flows:int -> ?duration:float -> ?seed:int -> unit -> stats
-(** Convenience wrapper: fresh engine (current [Engine.set_wheel] /
-    lane settings apply), run to [duration] (default 10 s of simulated
-    time), return the tallies. *)
+(** Convenience wrapper: fresh engine, run to [duration] (default 10 s
+    of simulated time), return the tallies. *)
 
 (** {2 flows1m: the hybrid packet/fluid scale bench} *)
 

@@ -170,7 +170,23 @@ let test_engine_budget () =
   done;
   let r = E.run ~max_events:3 e in
   Alcotest.(check bool) "budget" true (r = E.Budget_exhausted);
-  Alcotest.(check int) "processed" 3 (E.processed e)
+  Alcotest.(check int) "processed" 3 (E.processed e);
+  (* The budget counts each call's own events, checked before firing:
+     0 fires nothing, and later calls get their full allowance. *)
+  let e = E.create () in
+  for i = 1 to 10 do
+    E.schedule_unit e ~at:(float_of_int i) (fun () -> ())
+  done;
+  List.iter
+    (fun (max_events, total) ->
+      let r = E.run ~max_events e in
+      Alcotest.(check bool) "budget exhausted" true (r = E.Budget_exhausted);
+      Alcotest.(check int)
+        (Printf.sprintf "processed after max_events:%d" max_events)
+        total (E.processed e))
+    [ (0, 0); (3, 3); (3, 6) ];
+  Alcotest.(check bool) "rest drains" true (E.run e = E.Queue_empty);
+  Alcotest.(check int) "all fired" 10 (E.processed e)
 
 let test_engine_stop () =
   let e = E.create () in
@@ -315,120 +331,78 @@ let test_engine_sampler_cleared () =
   | () -> Alcotest.fail "expected Invalid_argument (NaN period)"
   | exception Invalid_argument _ -> ()
 
-(* ------------------------- fast lanes -------------------------- *)
+(* ---------------------- producer streams ----------------------- *)
+
+(* The per-packet producers (link service and delivery, pacing ticks,
+   feedback and ACK paths) once rode FIFO lanes; they now schedule
+   never-cancelled events with [schedule_unit]. These pin the contract
+   they rely on when mixed with cancellable [schedule] events; the
+   suite keeps its historical name. *)
 
 let test_lane_merge_order () =
-  (* Interleave heap events and lane events at equal times: the merged
-     pop order must equal the push order, exactly as if everything had
-     gone through the heap. *)
+  (* Interleave handle and unit events at equal times: the dispatch
+     order must equal the scheduling order. *)
   let e = E.create () in
-  let ln = E.lane e in
   let log = ref [] in
   let say v () = log := v :: !log in
   ignore (E.schedule e ~at:1.0 (say "h1"));
-  E.lane_push ln ~at:1.0 (say "l1");
+  E.schedule_unit e ~at:1.0 (say "u1");
   ignore (E.schedule e ~at:1.0 (say "h2"));
-  E.lane_push ln ~at:1.0 (say "l2");
-  E.lane_push ln ~at:2.0 (say "l3");
+  E.schedule_unit e ~at:1.0 (say "u2");
+  E.schedule_unit e ~at:2.0 (say "u3");
   ignore (E.schedule e ~at:2.0 (say "h3"));
   ignore (E.run e);
   Alcotest.(check (list string))
-    "merged order" [ "h1"; "l1"; "h2"; "l2"; "l3"; "h3" ]
+    "merged order" [ "h1"; "u1"; "h2"; "u2"; "u3"; "h3" ]
     (List.rev !log)
 
 let test_lane_two_lanes_merge () =
+  (* Two producer streams and a handle event, one of them far beyond
+     the wheel window so the overflow heap joins the merge. *)
   let e = E.create () in
-  let a = E.lane e and b = E.lane e in
   let log = ref [] in
   let say v () = log := v :: !log in
-  E.lane_push a ~at:1.0 (say "a1");
-  E.lane_push b ~at:1.0 (say "b1");
+  E.schedule_unit e ~at:1.0 (say "a1");
+  E.schedule_unit e ~at:1.0 (say "b1");
   ignore (E.schedule e ~at:1.0 (say "h1"));
-  E.lane_push b ~at:1.5 (say "b2");
-  E.lane_push a ~at:2.0 (say "a2");
+  E.schedule_unit e ~at:1.5 (say "b2");
+  E.schedule_unit e ~at:2.0 (say "a2");
+  E.schedule_unit e ~at:100.0 (say "b3");
+  E.schedule_unit e ~at:100.0 (say "a3");
   ignore (E.run e);
   Alcotest.(check (list string))
-    "two lanes + heap" [ "a1"; "b1"; "h1"; "b2"; "a2" ]
+    "two streams + handle event" [ "a1"; "b1"; "h1"; "b2"; "a2"; "b3"; "a3" ]
     (List.rev !log)
-
-let test_lane_fifo_violation_rejected () =
-  (* The FIFO push constraint only exists on the real lane path, so pin
-     the toggle on (the suite also runs under EBRC_LANES=0). *)
-  let was = E.fast_lanes_enabled () in
-  E.set_fast_lanes true;
-  Fun.protect ~finally:(fun () -> E.set_fast_lanes was) @@ fun () ->
-  let e = E.create () in
-  let ln = E.lane e in
-  E.lane_push ln ~at:2.0 (fun () -> ());
-  (match E.lane_push ln ~at:1.0 (fun () -> ()) with
-  | () -> Alcotest.fail "expected Invalid_argument (FIFO violation)"
-  | exception Invalid_argument _ -> ());
-  match E.lane_push ln ~at:Float.nan (fun () -> ()) with
-  | () -> Alcotest.fail "expected Invalid_argument (NaN)"
-  | exception Invalid_argument _ -> ()
 
 let test_lane_past_rejected () =
   let e = E.create () in
-  let ln = E.lane e in
   ignore (E.schedule e ~at:5.0 (fun () ->
-      match E.lane_push ln ~at:1.0 (fun () -> ()) with
+      (match E.schedule_unit e ~at:1.0 (fun () -> ()) with
       | () -> Alcotest.fail "expected Invalid_argument (past)"
+      | exception Invalid_argument _ -> ());
+      match E.schedule_unit e ~at:Float.nan (fun () -> ()) with
+      | () -> Alcotest.fail "expected Invalid_argument (NaN)"
       | exception Invalid_argument _ -> ()));
   ignore (E.run e)
 
-let test_lane_ring_growth () =
-  (* Push far more entries than the initial ring capacity while the
-     engine drains; the chain must fire in order and count correctly. *)
-  let e = E.create () in
-  let ln = E.lane e in
-  let count = ref 0 in
-  for i = 1 to 500 do
-    E.lane_push ln ~at:(float_of_int i) (fun () -> incr count)
-  done;
-  Alcotest.(check int) "pending counts lanes" 500 (E.pending e);
-  ignore (E.run e);
-  Alcotest.(check int) "all fired" 500 !count;
-  Alcotest.(check int) "drained" 0 (E.pending e)
-
-let test_lane_disabled_fallback () =
-  (* With fast lanes disabled, lane_push degrades to heap scheduling —
-     and the observable order is unchanged. *)
-  let go () =
-    let e = E.create () in
-    let ln = E.lane e in
-    let log = ref [] in
-    let say v () = log := v :: !log in
-    ignore (E.schedule e ~at:1.0 (say "h1"));
-    E.lane_push ln ~at:1.0 (say "l1");
-    E.lane_push ln ~at:3.0 (say "l2");
-    ignore (E.schedule e ~at:2.0 (say "h2"));
-    ignore (E.run e);
-    List.rev !log
-  in
-  let was = E.fast_lanes_enabled () in
-  E.set_fast_lanes true;
-  let with_lanes = Fun.protect ~finally:(fun () -> E.set_fast_lanes was) go in
-  E.set_fast_lanes false;
-  let without =
-    Fun.protect ~finally:(fun () -> E.set_fast_lanes was) go
-  in
-  Alcotest.(check (list string)) "same order" with_lanes without;
-  Alcotest.(check (list string))
-    "expected order" [ "h1"; "l1"; "h2"; "l2" ] with_lanes
-
 let test_lane_horizon () =
-  (* A horizon between lane events pauses and resumes cleanly. *)
+  (* A horizon between unit events pauses and resumes cleanly, and
+     [pending] counts what is still queued — the wheel's share and the
+     overflow heap's. *)
   let e = E.create () in
-  let ln = E.lane e in
   let log = ref [] in
-  E.lane_push ln ~at:1.0 (fun () -> log := 1 :: !log);
-  E.lane_push ln ~at:10.0 (fun () -> log := 10 :: !log);
+  E.schedule_unit e ~at:1.0 (fun () -> log := 1 :: !log);
+  E.schedule_unit e ~at:10.0 (fun () -> log := 10 :: !log);
+  E.schedule_unit e ~at:100.0 (fun () -> log := 100 :: !log);
+  Alcotest.(check int) "pending before" 3 (E.pending e);
   let r1 = E.run ~until:5.0 e in
   Alcotest.(check bool) "horizon" true (r1 = E.Horizon_reached);
   Alcotest.(check (list int)) "only first" [ 1 ] (List.rev !log);
+  Alcotest.(check int) "pending at horizon" 2 (E.pending e);
   let r2 = E.run e in
   Alcotest.(check bool) "drained" true (r2 = E.Queue_empty);
-  Alcotest.(check (list int)) "both" [ 1; 10 ] (List.rev !log)
+  Alcotest.(check (list int)) "all" [ 1; 10; 100 ] (List.rev !log);
+  Alcotest.(check int) "pending drained" 0 (E.pending e)
 
 let test_schedule_after_contract () =
   (* schedule_after rejects negative and NaN delays loudly instead of
@@ -524,12 +498,7 @@ let () =
         [
           Alcotest.test_case "merge order" `Quick test_lane_merge_order;
           Alcotest.test_case "two lanes merge" `Quick test_lane_two_lanes_merge;
-          Alcotest.test_case "fifo violation rejected" `Quick
-            test_lane_fifo_violation_rejected;
           Alcotest.test_case "past rejected" `Quick test_lane_past_rejected;
-          Alcotest.test_case "ring growth" `Quick test_lane_ring_growth;
-          Alcotest.test_case "disabled fallback" `Quick
-            test_lane_disabled_fallback;
           Alcotest.test_case "horizon" `Quick test_lane_horizon;
           Alcotest.test_case "schedule_after contract" `Quick
             test_schedule_after_contract;
