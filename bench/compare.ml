@@ -214,36 +214,6 @@ let () =
               Printf.printf "  parallel sweep (figure %s): %.2fx\n\n" fig sp
           | _ -> ())
       | None -> ());
-      (* Faults ablation: the disabled arm must stay byte-identical to
-         the fault-free run — a [false] here means the injection layer
-         leaks into unfaulted simulations, which is fatal regardless of
-         timing. Absent in pre-faults records; skipped then. *)
-      let faults_broken =
-        match member "faults_ablation" new_json with
-        | Some fa -> (
-            (match
-               ( member "scenario_none_ms" fa,
-                 member "scenario_enabled_ms" fa )
-             with
-            | Some (Num none_ms), Some (Num live_ms) ->
-                Printf.printf
-                  "  faults ablation: fault-free %.1f ms, live %.1f ms\n"
-                  none_ms live_ms
-            | _ -> ());
-            match member "bit_identical" fa with
-            | Some (Bool true) ->
-                Printf.printf
-                  "  faults ablation: disabled arm bit-identical to \
-                   fault-free\n\n";
-                false
-            | Some (Bool false) ->
-                Printf.printf
-                  "  faults ablation: FAIL — EBRC_FAULTS=0 run is NOT \
-                   byte-identical to the fault-free run\n\n";
-                true
-            | _ -> false)
-        | None -> false
-      in
       (* flows100k: informational scheduler timing at 10^5 pending
          events, but fingerprint disagreement between equal-seed reruns
          is fatal — the same determinism contract as flows1m. *)
@@ -295,37 +265,6 @@ let () =
                 Printf.printf
                   "  flows1m: FAIL — equal-seed hybrid reruns disagree on \
                    the dispatch fingerprint\n";
-                true
-            | _ -> false)
-        | None -> false
-      in
-      (* Hybrid ablation: with EBRC_HYBRID=0 a config carrying a fluid
-         background must serialize byte-identically to the same config
-         with no background — a [false] means the hybrid layer leaks
-         into ablated runs, fatal regardless of timing. Absent in
-         pre-hybrid records; skipped then. *)
-      let hybrid_broken =
-        match member "hybrid_ablation" new_json with
-        | Some ha -> (
-            (match
-               ( member "scenario_none_ms" ha,
-                 member "scenario_enabled_ms" ha )
-             with
-            | Some (Num none_ms), Some (Num live_ms) ->
-                Printf.printf
-                  "  hybrid ablation: background-free %.1f ms, live %.1f ms\n"
-                  none_ms live_ms
-            | _ -> ());
-            match member "bit_identical" ha with
-            | Some (Bool true) ->
-                Printf.printf
-                  "  hybrid ablation: EBRC_HYBRID=0 arm bit-identical to \
-                   background-free\n\n";
-                false
-            | Some (Bool false) ->
-                Printf.printf
-                  "  hybrid ablation: FAIL — EBRC_HYBRID=0 run is NOT \
-                   byte-identical to the background-free run\n\n";
                 true
             | _ -> false)
         | None -> false
@@ -480,13 +419,11 @@ let () =
         | None -> false
       in
       let failed = ref false in
-      if faults_broken then failed := true;
       if service_broken then failed := true;
       if chaos_broken then failed := true;
       if stream_broken then failed := true;
       if flows_broken then failed := true;
       if flows1m_broken then failed := true;
-      if hybrid_broken then failed := true;
       (match List.rev !regressions with
       | [] -> print_endline "bench-compare: OK, no hot-path regression > 20%"
       | rs ->

@@ -311,11 +311,6 @@ type frontier_point = {
   max_rel_err : float;      (* vs the exact SQRT closed form *)
 }
 
-type frontier = {
-  fixed_step_ns : float;    (* legacy RK4 at the old 1e-3 step *)
-  points : frontier_point list;
-}
-
 (* The SQRT formula admits an exact closed form for the cycle duration
    (Proposition 3), so it calibrates the adaptive engine: for each
    tolerance we measure the true cost of an *uncached* solve (distinct
@@ -331,18 +326,6 @@ let measure_ode_frontier () =
     let t0 = Unix.gettimeofday () in
     f ();
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-  in
-  let fixed_step_ns =
-    let ths = thetas ~base:60.0 64 in
-    time_per_call
-      (fun () ->
-        Array.iter
-          (fun theta ->
-            ignore
-              (Ebrc.Comprehensive_control.cycle_duration_ode ~step:1e-3
-                 ~formula ~estimator ~theta ()))
-          ths)
-      64
   in
   let points =
     List.map
@@ -380,17 +363,13 @@ let measure_ode_frontier () =
     "#############################################################\n\
      # ODE engine: accuracy vs time (SQRT closed form as reference)\n\
      #############################################################\n\n";
-  Printf.printf "  fixed-step RK4 (step 1e-3)  %12.0f ns/solve\n" fixed_step_ns;
   List.iter
     (fun p ->
-      Printf.printf
-        "  adaptive rtol %.0e  %12.0f ns/solve  max rel err %.2e  (%.0fx \
-         vs fixed)\n"
-        p.rtol p.adaptive_ns p.max_rel_err
-        (fixed_step_ns /. p.adaptive_ns))
+      Printf.printf "  adaptive rtol %.0e  %12.0f ns/solve  max rel err %.2e\n"
+        p.rtol p.adaptive_ns p.max_rel_err)
     points;
   print_newline ();
-  { fixed_step_ns; points }
+  points
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry ablation: compile-in instrumentation must be ~free when   *)
@@ -655,9 +634,7 @@ let measure_flows1m (packet_only : flows100k) =
   done;
   let (s : Ebrc.Flock.hybrid_stats) = Option.get !last in
   let f1_ns_per_event = !best *. 1e9 /. float_of_int s.events in
-  let f1_fluid_advances =
-    match s.fluid with Some f -> f.Ebrc.Fluid.advances | None -> 0
-  in
+  let f1_fluid_advances = s.fluid.Ebrc.Fluid.advances in
   let f1_ratio_vs_flows100k = f1_ns_per_event /. packet_only.fl_wheel_ns in
   Printf.printf
     "#############################################################\n\
@@ -673,184 +650,6 @@ let measure_flows1m (packet_only : flows100k) =
   { f1_fg = fg_flows; f1_bg = bg_flows; f1_events = s.events;
     f1_ns_per_event; f1_ratio_vs_flows100k; f1_fluid_advances;
     f1_identical = !identical }
-
-(* ------------------------------------------------------------------ *)
-(* Hybrid ablation: background-free vs hybrid-disabled (must be byte-  *)
-(* identical) vs hybrid live.                                          *)
-(* ------------------------------------------------------------------ *)
-
-type hybrid_ablation = {
-  hyb_none_ms : float;      (* config carries no background *)
-  hyb_off_ms : float;       (* background configured, layer ablated *)
-  hyb_on_ms : float;        (* fluid background live *)
-  hyb_identical : bool;     (* disabled run == background-free run *)
-}
-
-(* The EBRC_HYBRID=0 contract: with the layer ablated, a config that
-   carries a fluid background must serialize byte-identically to the
-   same config with no background at all — nothing may attach to the
-   link or the engine. bench/compare.ml fails on a [false] here. *)
-let measure_hybrid_ablation () =
-  (* 8 background flows: enough to contend for the 15 Mb/s default
-     link without starving the foreground (10^4+ flows would pin the
-     fluid at its cap and the live arm would measure a degenerate,
-     nearly packet-free run). *)
-  let with_bg =
-    { (ab_cfg (Ebrc.Scenario.Red_auto { capacity = 0 })) with
-      Ebrc.Scenario.background =
-        Some (Ebrc.Scenario.default_background ~flows:8) }
-  in
-  let clean = { with_bg with Ebrc.Scenario.background = None } in
-  let prior = Ebrc.Fluid.enabled () in
-  Ebrc.Fluid.set_hybrid true;
-  let hyb_none_ms, hyb_on_ms, none_bytes =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Fluid.set_hybrid prior)
-      (fun () ->
-        ( ab_best_of 5 clean,
-          ab_best_of 5 with_bg,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run clean) ))
-  in
-  Ebrc.Fluid.set_hybrid false;
-  let hyb_off_ms, off_bytes =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Fluid.set_hybrid prior)
-      (fun () ->
-        ( ab_best_of 5 with_bg,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run with_bg) ))
-  in
-  let hyb_identical = String.equal none_bytes off_bytes in
-  Printf.printf
-    "#############################################################\n\
-     # Hybrid packet/fluid ablation (RED scenario, best of 5)\n\
-     #############################################################\n\n\
-    \  no background      %7.2f ms\n\
-    \  hybrid disabled    %7.2f ms (EBRC_HYBRID=0 arm)\n\
-    \  hybrid live        %7.2f ms (overhead %+.1f%%)\n\
-    \  disabled == background-free bytes: %b\n\n"
-    hyb_none_ms hyb_off_ms hyb_on_ms
-    (100.0 *. ((hyb_on_ms /. hyb_none_ms) -. 1.0))
-    hyb_identical;
-  { hyb_none_ms; hyb_off_ms; hyb_on_ms; hyb_identical }
-
-(* ------------------------------------------------------------------ *)
-(* Fault-injection A/B: fault-free vs faults-disabled (must be byte-   *)
-(* identical) vs faults live (cost of a blackout schedule).            *)
-(* ------------------------------------------------------------------ *)
-
-type faults_ab = {
-  faults_none_ms : float;      (* config carries no faults *)
-  faults_disabled_ms : float;  (* faults configured, layer ablated *)
-  faults_enabled_ms : float;   (* faults configured and live *)
-  faults_identical : bool;     (* disabled run == fault-free run, bytes *)
-}
-
-let measure_faults_ab () =
-  let faulted =
-    {
-      Ebrc.Scenario.default_config with
-      n_tfrc = 2;
-      n_tcp = 2;
-      duration = 60.0;
-      warmup = 15.0;
-      seed = 71;
-      faults =
-        Some
-          { Ebrc.Fault.none with
-            Ebrc.Fault.blackouts =
-              [ { Ebrc.Fault.start = 20.0; length = 8.0; period = 30.0 } ] };
-    }
-  in
-  let clean = { faulted with Ebrc.Scenario.faults = None } in
-  let best_of reps cfg =
-    ignore (Ebrc.Scenario.run cfg);
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Ebrc.Scenario.run cfg);
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best *. 1e3
-  in
-  let faults_none_ms = best_of 5 clean in
-  let none_bytes = Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run clean) in
-  let faults_enabled_ms = best_of 5 faulted in
-  Ebrc.Fault.set_enabled false;
-  let faults_disabled_ms, disabled_bytes =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Fault.set_enabled true)
-      (fun () ->
-        ( best_of 5 faulted,
-          Ebrc.Result_cache.serialize_result (Ebrc.Scenario.run faulted) ))
-  in
-  let faults_identical = String.equal none_bytes disabled_bytes in
-  Printf.printf
-    "#############################################################\n\
-     # Fault-injection A/B (blackout scenario, best of 5)\n\
-     #############################################################\n\n\
-    \  fault-free       %7.2f ms\n\
-    \  faults disabled  %7.2f ms (EBRC_FAULTS=0 arm)\n\
-    \  faults live      %7.2f ms (overhead %+.1f%%)\n\
-    \  disabled == fault-free bytes: %b\n\n"
-    faults_none_ms faults_disabled_ms faults_enabled_ms
-    (100.0 *. ((faults_enabled_ms /. faults_none_ms) -. 1.0))
-    faults_identical;
-  { faults_none_ms; faults_disabled_ms; faults_enabled_ms; faults_identical }
-
-(* ------------------------------------------------------------------ *)
-(* Geometric gap-skip A/B: one geometric draw per loss event vs one    *)
-(* uniform draw per packet.                                            *)
-(* ------------------------------------------------------------------ *)
-
-type gap_skip_ab = {
-  gap_skip_ns : float;        (* ns per offered packet *)
-  per_packet_ns : float;
-  gap_skip_drop_rate : float;
-  per_packet_drop_rate : float;
-}
-
-let measure_gap_skip () =
-  let n = 2_000_000 and p = 0.01 in
-  let pkt = Ebrc.Packet.data ~flow:0 ~seq:0 ~size:1000 ~sent_at:0.0 in
-  let run () =
-    let lm = Ebrc.Loss_module.bernoulli (Ebrc.Prng.create ~seed:13) ~p in
-    let dropped = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      if not (Ebrc.Loss_module.process lm pkt) then incr dropped
-    done;
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
-    (ns, float_of_int !dropped /. float_of_int n)
-  in
-  let best_of reps =
-    ignore (run ());
-    let best_ns = ref infinity and rate = ref 0.0 in
-    for _ = 1 to reps do
-      let ns, r = run () in
-      if ns < !best_ns then begin
-        best_ns := ns;
-        rate := r
-      end
-    done;
-    (!best_ns, !rate)
-  in
-  let gap_skip_ns, gap_skip_drop_rate = best_of 5 in
-  Ebrc.Loss_module.set_gap_skip false;
-  let per_packet_ns, per_packet_drop_rate =
-    Fun.protect
-      ~finally:(fun () -> Ebrc.Loss_module.set_gap_skip true)
-      (fun () -> best_of 5)
-  in
-  Printf.printf
-    "#############################################################\n\
-     # Bernoulli loss sampling A/B (%d packets, p = %g, best of 5)\n\
-     #############################################################\n\n\
-    \  gap-skip    %6.2f ns/pkt  drop rate %.5f\n\
-    \  per-packet  %6.2f ns/pkt  drop rate %.5f\n\
-    \  speedup %.2fx (statistically equivalent, different RNG streams)\n\n"
-    n p gap_skip_ns gap_skip_drop_rate per_packet_ns per_packet_drop_rate
-    (per_packet_ns /. gap_skip_ns);
-  { gap_skip_ns; per_packet_ns; gap_skip_drop_rate; per_packet_drop_rate }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario result cache: cold vs warm, with hit/miss counters.        *)
@@ -1282,7 +1081,7 @@ let json_escape s =
   Buffer.contents buf
 
 let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
-    ~flows1m ~hybrid ~faults ~gap ~cache ~sweep ~service ~chaos =
+    ~flows1m ~cache ~sweep ~service ~chaos =
   let ns_per_run, minor_per_run = microbench in
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let date =
@@ -1323,8 +1122,6 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
       if v < 0.0005 then "\"skipped: sub-ms analytic figure\""
       else Printf.sprintf "%.3f" v);
   Printf.fprintf oc "  \"ode_frontier\": {\n";
-  Printf.fprintf oc "    \"fixed_step_ns_per_solve\": %.1f,\n"
-    frontier.fixed_step_ns;
   Printf.fprintf oc "    \"points\": [\n";
   List.iteri
     (fun i p ->
@@ -1332,8 +1129,8 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
         "      { \"rtol\": %.0e, \"adaptive_ns_per_solve\": %.1f, \
          \"max_rel_err\": %.3e }%s\n"
         p.rtol p.adaptive_ns p.max_rel_err
-        (if i = List.length frontier.points - 1 then "" else ","))
-    frontier.points;
+        (if i = List.length frontier - 1 then "" else ","))
+    frontier;
   Printf.fprintf oc "    ]\n  },\n";
   Printf.fprintf oc
     "  \"telemetry_summary\": {\n\
@@ -1386,35 +1183,6 @@ let write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
     flows1m.f1_fg flows1m.f1_bg flows1m.f1_events flows1m.f1_ns_per_event
     flows1m.f1_ratio_vs_flows100k flows1m.f1_fluid_advances
     flows1m.f1_identical;
-  Printf.fprintf oc
-    "  \"hybrid_ablation\": {\n\
-    \    \"scenario_none_ms\": %.3f,\n\
-    \    \"scenario_disabled_ms\": %.3f,\n\
-    \    \"scenario_enabled_ms\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    hybrid.hyb_none_ms hybrid.hyb_off_ms hybrid.hyb_on_ms
-    hybrid.hyb_identical;
-  Printf.fprintf oc
-    "  \"faults_ablation\": {\n\
-    \    \"scenario_none_ms\": %.3f,\n\
-    \    \"scenario_disabled_ms\": %.3f,\n\
-    \    \"scenario_enabled_ms\": %.3f,\n\
-    \    \"bit_identical\": %b\n\
-    \  },\n"
-    faults.faults_none_ms faults.faults_disabled_ms faults.faults_enabled_ms
-    faults.faults_identical;
-  Printf.fprintf oc
-    "  \"gap_skip_ablation\": {\n\
-    \    \"gap_skip_ns_per_packet\": %.2f,\n\
-    \    \"per_packet_ns_per_packet\": %.2f,\n\
-    \    \"speedup\": %.3f,\n\
-    \    \"gap_skip_drop_rate\": %.5f,\n\
-    \    \"per_packet_drop_rate\": %.5f\n\
-    \  },\n"
-    gap.gap_skip_ns gap.per_packet_ns
-    (gap.per_packet_ns /. gap.gap_skip_ns)
-    gap.gap_skip_drop_rate gap.per_packet_drop_rate;
   Printf.fprintf oc
     "  \"scenario_cache\": {\n\
     \    \"cold_ms\": %.3f,\n\
@@ -1491,8 +1259,7 @@ let () =
     ignore (measure_flows100k ())
   else if Sys.getenv_opt "EBRC_BENCH_ONLY" = Some "scale" then begin
     let flows = measure_flows100k () in
-    ignore (measure_flows1m flows);
-    ignore (measure_hybrid_ablation ())
+    ignore (measure_flows1m flows)
   end
   else begin
     let figure_seconds = regenerate_figures () in
@@ -1508,14 +1275,11 @@ let () =
     let stream = measure_stream_ablation () in
     let flows = measure_flows100k () in
     let flows1m = measure_flows1m flows in
-    let hybrid = measure_hybrid_ablation () in
-    let faults = measure_faults_ab () in
-    let gap = measure_gap_skip () in
     let cache = measure_cache () in
     let sweep = measure_parallel_sweep () in
     let service = measure_sweep_service () in
     let chaos = measure_chaos_soak () in
     write_json ~figure_seconds ~microbench ~frontier ~telem ~stream ~flows
-      ~flows1m ~hybrid ~faults ~gap ~cache ~sweep ~service ~chaos;
+      ~flows1m ~cache ~sweep ~service ~chaos;
     print_endline "\nbench: done."
   end

@@ -76,21 +76,6 @@ let no_cache_arg =
 
 let apply_cache no_cache = if no_cache then Ebrc.Result_cache.set_enabled false
 
-(* Hybrid packet/fluid layer: on by default; --no-hybrid (or
-   EBRC_HYBRID=0) makes every scenario ignore its [background] config
-   and run packet-only — structurally inert, so such a run is
-   bit-identical to one whose config never had a background. *)
-let no_hybrid_arg =
-  Arg.(
-    value & flag
-    & info [ "no-hybrid" ]
-        ~doc:
-          "Disable the fluid background layer: scenarios run packet-only, \
-           ignoring any configured background aggregate (see also \
-           EBRC_HYBRID=0).")
-
-let apply_hybrid no_hybrid = if no_hybrid then Ebrc.Fluid.set_hybrid false
-
 (* Watchdog budgets (opt-in): cap every Engine.run in the process.
    Exceeding a budget raises Engine.Budget_exceeded — combine with
    --keep-going to salvage the remaining figures. *)
@@ -306,7 +291,7 @@ let figure_cmd =
       & opt (some dir) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")
   in
-  let run id full csv jobs no_cache no_hybrid keep_going only_task
+  let run id full csv jobs no_cache keep_going only_task
       budgets telem obs =
     let quick = not full in
     (* Unknown ids are a usage error: list the valid names and exit 2
@@ -318,7 +303,6 @@ let figure_cmd =
     end;
     try
       apply_cache no_cache;
-      apply_hybrid no_hybrid;
       apply_budgets budgets;
       apply_only_task only_task;
       let jobs = resolve_jobs jobs in
@@ -365,7 +349,7 @@ let figure_cmd =
     Term.(
       ret
         (const run $ id $ full $ csv $ jobs_arg $ no_cache_arg
-       $ no_hybrid_arg $ keep_going_arg $ only_task_arg
+       $ keep_going_arg $ only_task_arg
        $ budget_args $ telemetry_args $ obs_args))
 
 (* --- list --- *)
@@ -638,10 +622,8 @@ let report_cmd =
       value & flag
       & info [ "full" ] ~doc:"Paper-scale sweeps instead of quick mode.")
   in
-  let run out ids full jobs no_cache no_hybrid keep_going budgets
-      telem obs =
+  let run out ids full jobs no_cache keep_going budgets telem obs =
     apply_cache no_cache;
-    apply_hybrid no_hybrid;
     apply_budgets budgets;
     let jobs = resolve_jobs jobs in
     with_observability ~cmd:"report"
@@ -671,9 +653,8 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Regenerate figures into a self-contained markdown report.")
     Term.(
-      const run $ out $ ids $ full $ jobs_arg $ no_cache_arg $ no_hybrid_arg
-      $ keep_going_arg $ budget_args $ telemetry_args
-      $ obs_args)
+      const run $ out $ ids $ full $ jobs_arg $ no_cache_arg
+      $ keep_going_arg $ budget_args $ telemetry_args $ obs_args)
 
 (* --- validate: assert the paper's qualitative claims --- *)
 
@@ -683,9 +664,8 @@ let validate_cmd =
       value & flag
       & info [ "full" ] ~doc:"Run the long (paper-scale) validations.")
   in
-  let run full jobs no_cache no_hybrid telem obs =
+  let run full jobs no_cache telem obs =
     apply_cache no_cache;
-    apply_hybrid no_hybrid;
     let jobs = resolve_jobs jobs in
     with_observability ~cmd:"validate"
       ~attrs:
@@ -708,8 +688,8 @@ let validate_cmd =
           gate).")
     Term.(
       ret
-        (const run $ full $ jobs_arg $ no_cache_arg $ no_hybrid_arg
-       $ telemetry_args $ obs_args))
+        (const run $ full $ jobs_arg $ no_cache_arg $ telemetry_args
+       $ obs_args))
 
 (* --- status: tail live telemetry streams --- *)
 
@@ -1090,12 +1070,11 @@ let worker_cmd =
             "Keep polling for new tasks instead of exiting once the \
              queue drains.")
   in
-  let run queue store id ttl retries poll max_tasks follow chaos no_hybrid
-      budgets telem obs =
+  let run queue store id ttl retries poll max_tasks follow chaos budgets
+      telem obs =
     if ttl <= 0.0 then `Error (false, "ttl must be > 0")
     else if poll <= 0.0 then `Error (false, "poll must be > 0")
     else begin
-      apply_hybrid no_hybrid;
       apply_budgets budgets;
       apply_chaos chaos;
       let d = Ebrc_serve.Worker.default ~queue_dir:queue in
@@ -1139,7 +1118,7 @@ let worker_cmd =
     Term.(
       ret
         (const run $ queue $ store $ id $ ttl $ retries $ poll $ max_tasks
-       $ follow $ chaos_arg $ no_hybrid_arg $ budget_args
+       $ follow $ chaos_arg $ budget_args
        $ telemetry_args $ obs_args))
 
 let scrub_cmd =

@@ -106,12 +106,12 @@ let run cfg =
      stream-derived PRNG contract as Scenario. *)
   let fault =
     match cfg.faults with
-    | Some fc when Fault.enabled () ->
+    | Some fc ->
         let inj =
           Fault.create ~engine ~rng:(Prng.stream ~root:cfg.seed 9001) fc
         in
         if Fault.active inj then Some inj else None
-    | _ -> None
+    | None -> None
   in
   let send_link1 pkt = Link.send link1 pkt in
   let forward =

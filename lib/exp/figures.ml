@@ -1747,17 +1747,13 @@ let hybrid_agreement ?jobs:_ ~quick () =
           ])
       t ns
   in
-  let note =
-    if Ebrc_net.Fluid.enabled () then
+  [
+    Table.add_note t
       "both legs share seed, queue and foreground; only the background's \
        representation changes (packets vs one ODE). Ratios near 1 mean \
        the fluid is a faithful stand-in for the congestion the packet \
-       background would have caused"
-    else
-      "EBRC_HYBRID=0: the fluid leg ran packet-only, so the comparison \
-       is degenerate (fluid columns see no background at all)"
-  in
-  [ Table.add_note t note ]
+       background would have caused";
+  ]
 
 (* h2: fluid scale sweep — the many-sources regime the packet engine
    cannot reach. The background aggregates 10^4..10^6 AIMD flows into

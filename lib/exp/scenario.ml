@@ -66,9 +66,8 @@ type config = {
                                      forward path + TFRC feedback path *)
   background : background option; (* fluid background aggregate sharing
                                      the bottleneck; like [faults], a run
-                                     with [None] — or with the layer
-                                     disabled via EBRC_HYBRID=0 — is
-                                     bit-identical to a packet-only run *)
+                                     with [None] is bit-identical to a
+                                     packet-only run *)
 }
 
 let default_config =
@@ -201,9 +200,29 @@ let stream_key cfg =
     (if cfg.faults <> None then ":f" else "")
     (if cfg.background <> None then ":bg" else "")
 
+(* Every check is written so NaN fails it: a NaN duration would
+   otherwise slip past [duration <= warmup] and run forever. *)
+let validate cfg =
+  let finite_pos x = Float.is_finite x && x > 0.0 in
+  if not (finite_pos cfg.bottleneck_bps) then
+    Error "bottleneck_bps must be finite and positive"
+  else if not (finite_pos cfg.one_way_delay) then
+    Error "one_way_delay must be finite and positive"
+  else if not (finite_pos cfg.duration) then
+    Error "duration must be finite and positive"
+  else if not (cfg.warmup >= 0.0 && cfg.warmup < cfg.duration) then
+    Error "warmup must be finite, >= 0 and below duration"
+  else if cfg.packet_size <= 0 then Error "packet_size must be positive"
+  else if cfg.n_tfrc < 0 || cfg.n_tcp < 0 then
+    Error "n_tfrc and n_tcp must be >= 0"
+  else if not (cfg.reverse_jitter >= 0.0 && cfg.reverse_jitter < 1.0) then
+    Error "reverse_jitter must be in [0, 1)"
+  else Ok ()
+
 let run cfg =
-  if cfg.duration <= cfg.warmup then
-    invalid_arg "Scenario.run: duration must exceed warmup";
+  (match validate cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Scenario.run: " ^ msg));
   let engine = Engine.create () in
   (* Live-stream sampling: the engine fires the sampler at sim-time
      boundaries (deterministic; see Engine.set_sampler), and the
@@ -245,14 +264,14 @@ let run cfg =
     Formula.create ~rtt:rtt0 cfg.tfrc_formula_kind
   in
   (* Fluid background aggregate. Like the fault injector, it is only
-     constructed when configured AND globally enabled, and it draws no
-     randomness at all (its sync points are quantized event times), so
-     [background = None] — or EBRC_HYBRID=0 — leaves the packet-only
-     run bit-identical. The drop profile mirrors the packet queue so
-     both traffic classes see the same congestion signal. *)
+     constructed when configured, and it draws no randomness at all
+     (its sync points are quantized event times), so [background =
+     None] leaves the packet-only run bit-identical. The drop profile
+     mirrors the packet queue so both traffic classes see the same
+     congestion signal. *)
   let fluid =
     match cfg.background with
-    | Some bg when Fluid.enabled () ->
+    | Some bg ->
         let fl = Fluid.create (fluid_config cfg bg) in
         Link.attach_fluid link fl;
         Engine.set_advance_hook engine
@@ -261,14 +280,12 @@ let run cfg =
                Fluid.set_pkt_occupancy fl (Queue_discipline.occupancy queue);
                Fluid.sync fl ~now));
         Some fl
-    | _ -> None
+    | None -> None
   in
   (* Per-flow reverse delays with +/-reverse_jitter spread: breaks
      DropTail phase effects and, at larger spreads, exercises the
      paper's sub-condition 3 (the r'/r comparison) under heterogeneous
      round-trip times. *)
-  if cfg.reverse_jitter < 0.0 || cfg.reverse_jitter >= 1.0 then
-    invalid_arg "Scenario.run: reverse_jitter must be in [0, 1)";
   let reverse_delay () =
     let j = cfg.reverse_jitter in
     cfg.one_way_delay *. (1.0 -. j +. (2.0 *. j *. Prng.float_unit master))
@@ -276,16 +293,15 @@ let run cfg =
   (* Fault injector. Its PRNG is a pure function of the scenario seed
      (Prng.stream, not a split of [master]), so configuring faults
      never perturbs the master draw sequence — and with faults absent
-     or globally disabled (EBRC_FAULTS=0) the run is bit-identical to
-     a fault-free one. *)
+     or empty the run is bit-identical to a fault-free one. *)
   let fault =
     match cfg.faults with
-    | Some fc when Fault.enabled () ->
+    | Some fc ->
         let inj =
           Fault.create ~engine ~rng:(Prng.stream ~root:cfg.seed 9001) fc
         in
         if Fault.active inj then Some inj else None
-    | _ -> None
+    | None -> None
   in
   let send_link pkt = Link.send link pkt in
   let forward =

@@ -50,15 +50,13 @@ type config = {
           reordering, duplication on the forward path; one-way
           blackouts on the TFRC feedback path). The injector draws
           from [Prng.stream ~root:seed], so it never perturbs the
-          master sequence: a run with [faults = None] — or with the
-          layer disabled via [EBRC_FAULTS=0] — is bit-identical to a
-          fault-free run. *)
+          master sequence: a run with [faults = None] or
+          [Some Fault.none] is bit-identical to a fault-free run. *)
   background : background option;
       (** Fluid background aggregate sharing the bottleneck (the hybrid
-          packet/fluid engine). Like [faults], a run with [None] — or
-          with the layer disabled via [EBRC_HYBRID=0] — is bit-identical
-          to a packet-only run: nothing is attached to the link or the
-          engine. *)
+          packet/fluid engine). Like [faults], a run with [None] is
+          bit-identical to a packet-only run: nothing is attached to the
+          link or the engine. *)
 }
 
 val default_config : config
@@ -91,8 +89,15 @@ type result = {
           fluid was attached. *)
 }
 
+val validate : config -> (unit, string) Stdlib.result
+(** [Ok ()] iff the config can run: finite positive [bottleneck_bps],
+    [one_way_delay] and [duration]; finite [warmup >= 0] below
+    [duration]; [packet_size > 0]; [n_tfrc], [n_tcp >= 0];
+    [reverse_jitter] in [0, 1). NaN fails every check. *)
+
 val run : config -> result
-(** When live streaming with sim-time sampling is active
+(** Raises [Invalid_argument] when {!validate} rejects the config.
+    When live streaming with sim-time sampling is active
     ({!Ebrc_telemetry.Stream.sim_active}), [run] also emits a
     [run_start]/[delta]/[run_end] record sequence keyed by
     {!stream_key}: an engine sampler fires at sim-time boundaries and

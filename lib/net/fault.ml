@@ -10,9 +10,9 @@
    - Only the flap state machine, delay spikes and reorder holds
      schedule events, all as plain never-cancelled schedule_unit
      events.
-   - Inert injectors (EBRC_FAULTS=0 or an empty config) return the
-     underlying sink physically unchanged from wrap_*, so a disabled
-     run is bit-identical to one that never configured faults. *)
+   - Inert injectors (an empty config) return the underlying sink
+     physically unchanged from wrap_*, so a run configured with [none]
+     is bit-identical to one that never configured faults. *)
 
 module Engine = Ebrc_sim.Engine
 module Prng = Ebrc_rng.Prng
@@ -39,11 +39,6 @@ type config = {
 let none =
   { flaps = None; blackouts = []; spike = None; reorder = None;
     duplicate = None }
-
-(* Global ablation toggle, same shape as Loss_module.gap_skip. *)
-let enabled_flag = ref (Sys.getenv_opt "EBRC_FAULTS" <> Some "0")
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
 
 type stats = {
   transitions : int;
@@ -176,7 +171,7 @@ and go_up t (f : flaps) =
 
 let create ~engine ~rng cfg =
   validate cfg;
-  let live = enabled () && not (is_empty cfg) in
+  let live = not (is_empty cfg) in
   let t =
     { engine; rng; cfg; live; link_up = true; parked_q = Queue.create ();
       s_transitions = 0; s_down_drops = 0; s_parked = 0; s_spiked = 0;

@@ -76,8 +76,8 @@ type t = {
       (* Hybrid coupling: when attached, foreground drops see the fluid
          backlog, service is scaled by the foreground share, and every
          arrival feeds the fluid's input-rate estimate. [None] (the
-         default, and the only state when EBRC_HYBRID=0) leaves the
-         packet path structurally untouched. *)
+         default, and the only state without a background config)
+         leaves the packet path structurally untouched. *)
 }
 
 let transmission_time t pkt = float_of_int (Packet.bits pkt) /. t.rate_bps

@@ -4,12 +4,12 @@
    taken to its memoryless limit), and a deterministic periodic dropper
    used in tests.
 
-   The Bernoulli dropper has two implementations. The per-packet path
-   draws one uniform per packet; the gap-skip path exploits the
-   memorylessness directly — the number of passed packets between
-   consecutive drops is Geometric(p), so it samples that gap once per
-   loss event and counts packets down. Same process in distribution
-   (pinned by a chi-square test), ~1/p fewer RNG draws. *)
+   The Bernoulli dropper exploits the memorylessness directly: the
+   number of passed packets between consecutive drops is Geometric(p),
+   so it samples that gap once per loss event and counts packets down
+   (~1/p fewer RNG draws than one uniform per packet). The per-packet
+   draw is kept as the reference it is tested against: same process
+   in distribution, pinned by a chi-square test. *)
 
 module Tm = Ebrc_telemetry.Telemetry
 
@@ -50,7 +50,7 @@ let bernoulli_per_packet rng ~p =
     offered = 0;
   }
 
-let bernoulli_gap rng ~p =
+let bernoulli rng ~p =
   check_p "bernoulli" p;
   if p = 0.0 then { pass = (fun _ -> true); dropped = 0; offered = 0 }
   else begin
@@ -75,17 +75,6 @@ let bernoulli_gap rng ~p =
       offered = 0;
     }
   end
-
-(* A/B toggle in the style of [Fault.enabled]: gap skipping is
-   statistically (not bit-) equivalent to the per-packet draw — it
-   consumes the RNG differently — so the per-packet path stays
-   available as the ablation (EBRC_GAP_SKIP=0). *)
-let gap_skip = ref (Sys.getenv_opt "EBRC_GAP_SKIP" <> Some "0")
-let set_gap_skip b = gap_skip := b
-let gap_skip_enabled () = !gap_skip
-
-let bernoulli rng ~p =
-  if !gap_skip then bernoulli_gap rng ~p else bernoulli_per_packet rng ~p
 
 let periodic ~period =
   if period < 1 then invalid_arg "Loss_module.periodic: period must be >= 1";

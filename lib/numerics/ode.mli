@@ -1,6 +1,6 @@
 (** Scalar ODE integration for the comprehensive-control growth equation
-    (Eq. 16): a classic fixed-step RK4 engine kept for A/B validation,
-    and an adaptive embedded Dormand–Prince 5(4) engine with per-step
+    (Eq. 16): a classic fixed-step RK4 engine, the reference the
+    adaptive engine is tested against, and an adaptive embedded Dormand–Prince 5(4) engine with per-step
     error control, dense output, and a root-finding threshold solve. *)
 
 exception

@@ -303,7 +303,7 @@ let background_of j : Scenario.background =
     bg_resolution = get_float "bg_resolution" j;
   }
 
-let config_of j : Scenario.config =
+let fields_of j : Scenario.config =
   {
     Scenario.seed = get_int "seed" j;
     bottleneck_bps = get_float "bottleneck_bps" j;
@@ -323,6 +323,12 @@ let config_of j : Scenario.config =
     faults = get_opt "faults" j faults_of;
     background = get_opt "background" j background_of;
   }
+
+let config_of j =
+  let cfg = fields_of j in
+  match Scenario.validate cfg with
+  | Ok () -> cfg
+  | Error m -> fail "invalid scenario config: %s" m
 
 let task_of_json s =
   match Json.parse s with

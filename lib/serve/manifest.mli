@@ -25,12 +25,15 @@ val task_to_json : Ebrc_exp.Scenario.config -> string
     a queue task file). *)
 
 val task_of_json : string -> (Ebrc_exp.Scenario.config, string) result
+(** [Error] on malformed JSON, a missing or mistyped field, or a config
+    {!Ebrc_exp.Scenario.validate} rejects (e.g. a NaN duration). *)
 
 val to_json : t -> string
 (** Canonical rendering: loading and re-saving a manifest is
     byte-identical. *)
 
 val of_json : string -> (t, string) result
+(** [Error] under the same rules as {!task_of_json}, for any task. *)
 
 val save : path:string -> t -> unit
 (** Atomic tmp+rename write. *)

@@ -94,14 +94,12 @@ type hybrid_stats = {
   delivered : int;
   dropped : int;
   fingerprint : int;      (* dispatch-order fold over send/deliver/drop *)
-  fluid : Fluid.stats option;  (* None when the hybrid layer is off *)
+  fluid : Fluid.stats;
 }
 
 (* Foreground flows tick at ~1 pkt/s each through a bottleneck sized at
    [capacity_factor] x their aggregate mean rate; the fluid background
-   aggregates [bg_flows] AIMD flows contending for the same queue. With
-   the hybrid layer disabled (EBRC_HYBRID=0) no fluid is created and
-   this is a packet-only link bench over the same event population. *)
+   aggregates [bg_flows] AIMD flows contending for the same queue. *)
 let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
     ?(duration = 10.0) ?(seed = 1) ?(base_rtt = 0.1)
     ?(capacity_factor = 2.5) () =
@@ -124,22 +122,15 @@ let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
       ~delay:(0.5 *. base_rtt) ~queue ~rng
   in
   let fluid =
-    if Fluid.enabled () then begin
-      let fl =
-        Fluid.create
-          (Fluid.default ~flows:bg_flows ~capacity_pps ~base_rtt
-             ~qmax ())
-      in
-      Link.attach_fluid link fl;
-      Engine.set_advance_hook engine
-        (Some
-           (fun now ->
-             Fluid.set_pkt_occupancy fl (Queue_discipline.occupancy queue);
-             Fluid.sync fl ~now));
-      Some fl
-    end
-    else None
+    Fluid.create
+      (Fluid.default ~flows:bg_flows ~capacity_pps ~base_rtt ~qmax ())
   in
+  Link.attach_fluid link fluid;
+  Engine.set_advance_hook engine
+    (Some
+       (fun now ->
+         Fluid.set_pkt_occupancy fluid (Queue_discipline.occupancy queue);
+         Fluid.sync fluid ~now));
   let pool = Flow_pool.create ~capacity:fg_flows in
   let gaps = pool.Flow_pool.rate
   and seqs = pool.Flow_pool.seq
@@ -187,5 +178,5 @@ let run_hybrid ?(fg_flows = 20_000) ?(bg_flows = 200_000)
     delivered = !delivered;
     dropped = !dropped;
     fingerprint = !fp;
-    fluid = Option.map Fluid.stats fluid;
+    fluid = Fluid.stats fluid;
   }

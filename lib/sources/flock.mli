@@ -49,8 +49,7 @@ type hybrid_stats = {
   delivered : int;
   dropped : int;
   fingerprint : int; (** dispatch-order fold over deliveries and drops *)
-  fluid : Ebrc_net.Fluid.stats option;
-      (** [None] when the hybrid layer is disabled. *)
+  fluid : Ebrc_net.Fluid.stats;
 }
 
 val run_hybrid :
@@ -60,8 +59,6 @@ val run_hybrid :
     periodic flows send real packets through a DropTail bottleneck
     sized at [capacity_factor] (default 2.5) × their aggregate mean
     rate, while a fluid aggregate of [bg_flows] (default 200_000) AIMD
-    background flows contends for the same queue (when
-    {!Ebrc_net.Fluid.enabled}; otherwise the identical packet-only
-    bench runs with no fluid attached). Deliveries and drops fold into
-    the fingerprint, so repeated runs at equal seeds must agree —
-    the hybrid co-simulation's determinism check. *)
+    background flows contends for the same queue. Deliveries and drops
+    fold into the fingerprint, so repeated runs at equal seeds must
+    agree — the hybrid co-simulation's determinism check. *)

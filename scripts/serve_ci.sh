@@ -3,7 +3,7 @@
 # docs promise: a fresh 6-task sweep completes with 2 workers, a
 # partial store resumes by recomputing only what is missing (and
 # byte-identically), --workers 0 is a warm resume over a complete
-# store, and a missing manifest exits 2.
+# store, and a missing manifest or an invalid task config exits 2.
 set -eu
 
 EBRC=_build/default/bin/ebrc_cli.exe
@@ -48,5 +48,16 @@ set +e
 RC=$?
 set -e
 [ "$RC" = 2 ] || fail "missing manifest should exit 2, got $RC"
+
+# 5. A task whose duration is NaN is a bad manifest too: rejected
+#    before any queue is primed or worker spawned (it used to spin a
+#    worker forever). The timeout turns a regression into a failure.
+sed 's/"duration":"[^"]*"/"duration":"nan"/g' "$MANIFEST" > "$WORK/nan.json"
+set +e
+timeout 60 "$EBRC" serve "$WORK/nan.json" --workers 1 --quiet 2>/dev/null
+RC=$?
+set -e
+[ "$RC" = 2 ] || fail "NaN-duration manifest should exit 2, got $RC"
+[ ! -e "$WORK/nan.json.queue" ] || fail "NaN-duration manifest primed a queue"
 
 echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, exit codes)"

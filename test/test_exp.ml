@@ -156,6 +156,32 @@ let test_scenario_invalid_duration () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+let test_scenario_validate () =
+  let rejected what cfg =
+    Alcotest.(check bool) what true (Result.is_error (S.validate cfg))
+  in
+  Alcotest.(check bool) "quick config valid" true
+    (Result.is_ok (S.validate quick_cfg));
+  Alcotest.(check bool) "zero warmup valid" true
+    (Result.is_ok (S.validate { quick_cfg with warmup = 0.0 }));
+  rejected "NaN duration" { quick_cfg with duration = nan };
+  rejected "infinite duration" { quick_cfg with duration = infinity };
+  rejected "NaN warmup" { quick_cfg with warmup = nan };
+  rejected "negative warmup" { quick_cfg with warmup = -1.0 };
+  rejected "warmup = duration" { quick_cfg with warmup = quick_cfg.S.duration };
+  rejected "zero bandwidth" { quick_cfg with bottleneck_bps = 0.0 };
+  rejected "infinite bandwidth" { quick_cfg with bottleneck_bps = infinity };
+  rejected "NaN delay" { quick_cfg with one_way_delay = nan };
+  rejected "zero delay" { quick_cfg with one_way_delay = 0.0 };
+  rejected "zero packet size" { quick_cfg with packet_size = 0 };
+  rejected "negative TFRC count" { quick_cfg with n_tfrc = -1 };
+  rejected "negative TCP count" { quick_cfg with n_tcp = -1 };
+  rejected "jitter = 1" { quick_cfg with reverse_jitter = 1.0 };
+  rejected "NaN jitter" { quick_cfg with reverse_jitter = nan };
+  match S.run { quick_cfg with duration = nan } with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let test_bdp_and_rtt_helpers () =
   feq (S.base_rtt quick_cfg) 0.05;
   (* 15 Mb/s * 0.05 s / 8000 bits = 93.75 packets *)
@@ -280,13 +306,7 @@ let test_cache_store_failure_degrades () =
 let test_cache_robust_roundtrip () =
   (* A faulted config round-trips through the disk store: the record
      carries tfrc_halvings and fault_stats, and the faulted and
-     fault-free configs get distinct digests. Pin the fault gate on so
-     the test also holds under the EBRC_FAULTS=0 ablation leg. *)
-  let was_enabled = Ebrc.Fault.enabled () in
-  Ebrc.Fault.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Ebrc.Fault.set_enabled was_enabled)
-  @@ fun () ->
+     fault-free configs get distinct digests. *)
   let robust =
     { Ebrc.Scenario.robust_blackout_config with
       Ebrc.Scenario.duration = 60.0;
@@ -306,53 +326,35 @@ let test_cache_robust_roundtrip () =
 
 (* ---------------------- hybrid packet/fluid ---------------------- *)
 
-let with_hybrid on f =
-  let before = Ebrc.Fluid.enabled () in
-  Ebrc.Fluid.set_hybrid on;
-  Fun.protect ~finally:(fun () -> Ebrc.Fluid.set_hybrid before) f
-
-(* The EBRC_HYBRID=0 ablation contract: with the layer disabled, a
-   config carrying a background is structurally the packet-only run —
-   byte-identical serialization AND an identical cache key. *)
-let test_hybrid_off_bit_identical () =
+(* A config carrying a background keys apart from the packet-only one
+   and attaches the fluid. *)
+let test_hybrid_background_keyed () =
   let cfg_bg =
     { quick_cfg with
       S.background = Some (S.default_background ~flows:50_000) }
   in
   let cfg_none = { quick_cfg with S.background = None } in
-  with_hybrid false (fun () ->
-      Alcotest.(check string) "digests collapse when disabled"
-        (RC.digest_of_config cfg_none)
-        (RC.digest_of_config cfg_bg);
-      let a = RC.serialize_result (S.run cfg_bg) in
-      let b = RC.serialize_result (S.run cfg_none) in
-      Alcotest.(check bool) "hybrid-off run bit-identical to packet-only"
-        true (String.equal a b));
-  with_hybrid true (fun () ->
-      Alcotest.(check bool) "digests differ when enabled" true
-        (RC.digest_of_config cfg_bg <> RC.digest_of_config cfg_none);
-      let r = S.run cfg_bg in
-      Alcotest.(check bool) "fluid stats present" true
-        (r.S.fluid_stats <> None))
+  Alcotest.(check bool) "digests differ" true
+    (RC.digest_of_config cfg_bg <> RC.digest_of_config cfg_none);
+  let r = S.run cfg_bg in
+  Alcotest.(check bool) "fluid stats present" true (r.S.fluid_stats <> None)
 
 let test_hybrid_cache_roundtrip () =
   (* fluid_stats round-trips byte-exactly through the disk store. *)
-  with_hybrid true (fun () ->
-      let cfg =
-        { cache_cfg with
-          S.background = Some (S.default_background ~flows:10_000) }
-      in
-      with_clean_cache (fun () ->
-          RC.set_dir (Some cache_dir);
-          let first = RC.serialize_result (RC.run cfg) in
-          Alcotest.(check bool) "result carries fluid stats" true
-            ((RC.run cfg).S.fluid_stats <> None);
-          RC.clear_memory ();
-          let from_disk = RC.serialize_result (RC.run cfg) in
-          Alcotest.(check bool) "hybrid disk hit byte-identical" true
-            (String.equal first from_disk);
-          Alcotest.(check int) "served from disk" 1
-            (RC.stats ()).RC.disk_hits))
+  let cfg =
+    { cache_cfg with
+      S.background = Some (S.default_background ~flows:10_000) }
+  in
+  with_clean_cache (fun () ->
+      RC.set_dir (Some cache_dir);
+      let first = RC.serialize_result (RC.run cfg) in
+      Alcotest.(check bool) "result carries fluid stats" true
+        ((RC.run cfg).S.fluid_stats <> None);
+      RC.clear_memory ();
+      let from_disk = RC.serialize_result (RC.run cfg) in
+      Alcotest.(check bool) "hybrid disk hit byte-identical" true
+        (String.equal first from_disk);
+      Alcotest.(check int) "served from disk" 1 (RC.stats ()).RC.disk_hits)
 
 (* The hybrid validation gate (CI-enforced version of figure h1): the
    same background population simulated packet-exact (n extra TCP
@@ -363,7 +365,6 @@ let test_hybrid_cache_roundtrip () =
    metric) is much tighter because TFRC's formula response compensates
    for the p difference. *)
 let test_hybrid_matches_packet_background () =
-  with_hybrid true @@ fun () ->
   let base =
     { S.default_config with
       S.with_probe = false; duration = 120.0; warmup = 30.0 }
@@ -405,7 +406,6 @@ let test_hybrid_matches_packet_background () =
    Seeds pinned; capacity scales with N per the many-sources
    normalization. *)
 let test_hybrid_many_sources_limit () =
-  with_hybrid true @@ fun () ->
   let n = 100_000 in
   let bg = S.default_background ~flows:n in
   let cfg =
@@ -675,6 +675,7 @@ let () =
           Alcotest.test_case "freelist equivalence" `Quick
             test_scenario_freelist_equivalence;
           Alcotest.test_case "invalid duration" `Quick test_scenario_invalid_duration;
+          Alcotest.test_case "validate" `Quick test_scenario_validate;
           Alcotest.test_case "bdp/rtt helpers" `Quick test_bdp_and_rtt_helpers;
           Alcotest.test_case "lanes vs heap identical" `Quick
             test_scenario_lanes_vs_heap_identical;
@@ -698,8 +699,8 @@ let () =
         ] );
       ( "hybrid",
         [
-          Alcotest.test_case "off = bit-identical packet-only" `Quick
-            test_hybrid_off_bit_identical;
+          Alcotest.test_case "background keys distinctly" `Quick
+            test_hybrid_background_keyed;
           Alcotest.test_case "cache roundtrip" `Quick
             test_hybrid_cache_roundtrip;
           Alcotest.test_case "matches packet background" `Quick

@@ -271,14 +271,10 @@ let test_gap_skip_drop_rate_matches_per_packet () =
     in
     float_of_int dropped /. float_of_int n
   in
-  (* Pin the toggle for each arm and restore whatever the environment
-     selected (the suite also runs under EBRC_GAP_SKIP=0). *)
-  let was = LM.gap_skip_enabled () in
-  Fun.protect ~finally:(fun () -> LM.set_gap_skip was) @@ fun () ->
-  LM.set_gap_skip true;
   let gap_rate = rate_of (LM.bernoulli (Prng.create ~seed:11) ~p) in
-  LM.set_gap_skip false;
-  let per_rate = rate_of (LM.bernoulli (Prng.create ~seed:11) ~p) in
+  let per_rate =
+    rate_of (LM.bernoulli_per_packet (Prng.create ~seed:11) ~p)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "gap-skip rate %.4f ~ %.1f" gap_rate p)
     true

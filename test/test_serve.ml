@@ -86,6 +86,8 @@ let ornate_config =
 
 (* ----------------------------- manifest --------------------------- *)
 
+let demo_manifest = Manifest.demo ~tasks:3 ~duration:3.0 ()
+
 let test_manifest_roundtrip () =
   let m = Manifest.demo ~tasks:3 () in
   let json = Manifest.to_json m in
@@ -131,6 +133,27 @@ let test_manifest_rejects_junk () =
   match Manifest.task_of_json "{\"seed\":1}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated task accepted"
+
+(* A NaN duration slips past a plain [duration <= warmup] check and
+   would spin a worker forever. The manifest codec rejects it, so
+   serve exits 2 before priming a queue or spawning a worker. *)
+let test_manifest_rejects_nan_duration () =
+  let bad =
+    { (List.hd demo_manifest.Manifest.tasks) with Scenario.duration = nan }
+  in
+  let json = Manifest.to_json { Manifest.tasks = [ bad ] } in
+  (match Manifest.of_json json with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "NaN duration accepted");
+  let root = tmp_dir "nan" in
+  let path = Filename.concat root "m.json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc json);
+  let cfg =
+    { (Serve.default ~manifest_path:path) with Serve.workers = 1; quiet = true }
+  in
+  Alcotest.(check int) "bad manifest exits 2" 2 (Serve.run cfg);
+  Alcotest.(check bool) "no queue primed" false
+    (Sys.file_exists cfg.Serve.queue_dir)
 
 (* ---------------------------- task queue -------------------------- *)
 
@@ -356,7 +379,6 @@ let test_gc_tmp_age_threshold () =
 
 (* --------------------------- worker + serve ----------------------- *)
 
-let demo_manifest = Manifest.demo ~tasks:3 ~duration:3.0 ()
 
 let serial_store_bytes store =
   Sys.readdir store |> Array.to_list |> List.sort String.compare
@@ -498,6 +520,8 @@ let () =
           Alcotest.test_case "ornate task" `Quick test_manifest_ornate_task;
           Alcotest.test_case "file io" `Quick test_manifest_file_io;
           Alcotest.test_case "rejects junk" `Quick test_manifest_rejects_junk;
+          Alcotest.test_case "rejects NaN duration" `Quick
+            test_manifest_rejects_nan_duration;
         ] );
       ( "task_queue",
         [
