@@ -360,6 +360,15 @@ let () =
                    %.1f tasks/s at 4\n"
                   tasks (tasks /. w1) (tasks /. w4)
             | _ -> ());
+            (match (member "serial_seconds" sv, member "worker1_seconds" sv) with
+            | Some (Num serial), Some (Num w1) when serial > 0.0 && w1 > 0.0 ->
+                let r = w1 /. serial in
+                Printf.printf
+                  "  sweep service: 1 worker takes %.2fx the serial run \
+                   (<= 1.2x target %s)\n"
+                  r
+                  (if r <= 1.2 then "met" else "missed")
+            | _ -> ());
             (match member "cold_over_warm" sv with
             | Some (Num r) ->
                 Printf.printf

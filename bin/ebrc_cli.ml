@@ -1053,7 +1053,10 @@ let worker_cmd =
     Arg.(
       value & opt float 0.2
       & info [ "poll" ] ~docv:"S"
-          ~doc:"Rescan period while the queue is fully leased.")
+          ~doc:
+            "Cap on the idle rescan backoff: while no pending task can \
+             be claimed, rescan after 1 ms, doubling up to $(docv) \
+             seconds.")
   in
   let max_tasks =
     Arg.(

@@ -538,7 +538,9 @@ let disk_load ~dir ~key digest =
 
 let disk_store ~dir ~key digest r =
   match
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    (* Peers publishing into a fresh store race to create it. *)
+    (try Unix.mkdir dir 0o755
+     with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     let path = Filename.concat dir (digest ^ ".json") in
     let tmp =
       Filename.concat dir

@@ -74,19 +74,21 @@ let distinct_tasks (m : Manifest.t) =
       end)
     m.Manifest.tasks
 
-let progress ~store_dir ~queue m =
-  let tasks = distinct_tasks m in
-  let published =
-    List.length (List.filter (fun c -> Rc.published ~dir:store_dir c) tasks)
-  in
+let progress_of ~queue ~total ~published =
   {
-    total = List.length tasks;
+    total;
     published;
     queued = List.length (Task_queue.pending queue);
     leased = Task_queue.leased queue;
     failed = List.length (Task_queue.failed queue);
     poisoned = List.length (Task_queue.poisoned queue);
   }
+
+let progress ~store_dir ~queue m =
+  let tasks = distinct_tasks m in
+  progress_of ~queue ~total:(List.length tasks)
+    ~published:
+      (List.length (List.filter (fun c -> Rc.published ~dir:store_dir c) tasks))
 
 let plan ?gc_max_age ~store_dir ~queue m =
   ignore (Rc.gc_tmp ?max_age:gc_max_age store_dir);
@@ -104,6 +106,42 @@ let plan ?gc_max_age ~store_dir ~queue m =
       end)
     (distinct_tasks m);
   !outstanding
+
+(* --------------------------- exit watching ------------------------ *)
+
+type child = { pid : int; exit_fd : Unix.file_descr }
+
+(* The child alone holds the write end of its exit pipe: close-on-exec
+   is cleared for this one spawn and the parent closes its copy at
+   once, so no sibling inherits it and the read end reads EOF exactly
+   when the child exits. *)
+let spawn_watched argv =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.clear_close_on_exec w;
+  match Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr with
+  | pid ->
+      Unix.close w;
+      { pid; exit_fd = r }
+  | exception e ->
+      Unix.close w;
+      Unix.close r;
+      raise e
+
+(* Nobody writes to an exit pipe, so readable means EOF: exited. *)
+let await_exits children timeout =
+  match
+    Unix.select (List.map (fun c -> c.exit_fd) children) [] [] timeout
+  with
+  | ready, _, _ -> List.filter (fun c -> List.mem c.exit_fd ready) children
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+
+let kill c = try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+let reap c =
+  Unix.close c.exit_fd;
+  match Unix.waitpid [] c.pid with
+  | _, status -> status = Unix.WEXITED 0
+  | exception Unix.Unix_error _ -> false
 
 (* ---------------------------- worker fleet ------------------------ *)
 
@@ -140,8 +178,7 @@ let spawn_worker cfg ~queue ~index =
        ]
       @ chaos_args)
   in
-  Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout
-    Unix.stderr
+  spawn_watched argv
 
 (* Merge whatever the workers have streamed so far into one fleet
    view; tolerant of torn tails and missing files by construction. *)
@@ -187,7 +224,7 @@ let progress_line p view =
 type slot = {
   index : int;
   stream : string;
-  mutable pid : int option;
+  mutable proc : child option;
   mutable beat : float;  (** wall time of the last observed heartbeat *)
   mutable stream_size : int;
   mutable deaths : int;  (** consecutive deaths without fleet progress *)
@@ -217,7 +254,7 @@ let supervise cfg ~queue ~say m =
         {
           index = i;
           stream = stream_path queue i;
-          pid = None;
+          proc = None;
           beat = 0.0;
           stream_size = -1;
           deaths = 0;
@@ -226,7 +263,7 @@ let supervise cfg ~queue ~say m =
         })
   in
   let spawn slot =
-    slot.pid <- Some (spawn_worker cfg ~queue ~index:slot.index);
+    slot.proc <- Some (spawn_worker cfg ~queue ~index:slot.index);
     slot.beat <- Unix.gettimeofday ();
     slot.stream_size <- -1
   in
@@ -279,7 +316,6 @@ let supervise cfg ~queue ~say m =
       (Task_queue.reclaim_worker queue ~worker:(worker_id slot.index))
   in
   let handle_death slot ~now ~clean ~outstanding =
-    slot.pid <- None;
     strike_leases slot;
     if clean && not outstanding then slot.retired <- true
     else begin
@@ -294,6 +330,19 @@ let supervise cfg ~queue ~say m =
       end
       else slot.spawn_after <- now +. backoff (slot.deaths - 1)
     end
+  in
+  let live () = Array.to_list slots |> List.filter_map (fun s -> s.proc) in
+  (* Reaping closes the exit fd and drops it from the select set, so a
+     dead worker's EOF never wakes the loop twice. *)
+  let reap_exited exited on_exit =
+    Array.iter
+      (fun slot ->
+        match slot.proc with
+        | Some c when List.memq c exited ->
+            slot.proc <- None;
+            on_exit slot (reap c)
+        | _ -> ())
+      slots
   in
   let heartbeat slot now =
     (* Stream growth is the heartbeat: workers wall-tick while polling
@@ -318,15 +367,17 @@ let supervise cfg ~queue ~say m =
         Array.iter (fun s -> s.deaths <- 0) slots;
       last_published := p.published
     end;
-    let line = progress_line p (fleet_view queue) in
+    let line =
+      if cfg.quiet then "" else progress_line p (fleet_view queue)
+    in
     if line <> last_line then say line;
     if p.published + p.failed + p.poisoned >= p.total then p
     else begin
       let outstanding = p.queued > 0 || p.leased > 0 in
       Array.iter
         (fun slot ->
-          match slot.pid with
-          | Some pid -> (
+          match slot.proc with
+          | Some c ->
               heartbeat slot now;
               if cfg.watchdog > 0.0 && now -. slot.beat > cfg.watchdog
               then begin
@@ -335,18 +386,9 @@ let supervise cfg ~queue ~say m =
                    s); killing\n\
                    %!"
                   slot.index cfg.watchdog;
-                (try Unix.kill pid Sys.sigkill
-                 with Unix.Unix_error _ -> ());
+                kill c;
                 tax.t_stall_kills <- tax.t_stall_kills + 1
-              end;
-              match Unix.waitpid [ Unix.WNOHANG ] pid with
-              | 0, _ -> ()
-              | _, status ->
-                  handle_death slot ~now
-                    ~clean:(status = Unix.WEXITED 0)
-                    ~outstanding
-              | exception Unix.Unix_error _ ->
-                  handle_death slot ~now ~clean:false ~outstanding)
+              end
           | None ->
               if (not slot.retired) && outstanding && now >= slot.spawn_after
               then begin
@@ -357,23 +399,14 @@ let supervise cfg ~queue ~say m =
       (match monkey with
       | Some (g, next_kill) when now >= !next_kill -> (
           next_kill := now +. 0.5 +. (1.5 *. Prng.float_unit g);
-          let live =
-            Array.to_list slots |> List.filter (fun s -> s.pid <> None)
-          in
-          match live with
+          match live () with
           | [] -> ()
-          | _ -> (
-              match
-                (List.nth live (Prng.int g (List.length live))).pid
-              with
-              | Some pid ->
-                  (try Unix.kill pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  tax.t_chaos_kills <- tax.t_chaos_kills + 1
-              | None -> ()))
+          | live ->
+              kill (List.nth live (Prng.int g (List.length live)));
+              tax.t_chaos_kills <- tax.t_chaos_kills + 1)
       | _ -> ());
       let all_retired =
-        Array.for_all (fun s -> s.retired && s.pid = None) slots
+        Array.for_all (fun s -> s.retired && s.proc = None) slots
       in
       if all_retired then begin
         Printf.eprintf
@@ -381,7 +414,12 @@ let supervise cfg ~queue ~say m =
         p
       end
       else begin
-        Unix.sleepf cfg.poll;
+        (* Block until a worker exits or the next supervision tick,
+           whichever comes first; an exit is reaped at once and the
+           loop re-checks completion straight away. *)
+        reap_exited (await_exits (live ()) cfg.poll) (fun slot clean ->
+            handle_death slot ~now:(Unix.gettimeofday ()) ~clean
+              ~outstanding);
         watch line
       end
     end
@@ -391,29 +429,22 @@ let supervise cfg ~queue ~say m =
      so live workers exit on their own; give them a grace period, then
      SIGKILL stragglers (a worker hung inside a poisoned task's
      simulation would otherwise wedge serve itself). *)
-  Array.iter
-    (fun slot ->
-      match slot.pid with
-      | None -> ()
-      | Some pid ->
-          let rec wait tries =
-            match Unix.waitpid [ Unix.WNOHANG ] pid with
-            | 0, _ ->
-                if tries <= 0 then begin
-                  (try Unix.kill pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  try ignore (Unix.waitpid [] pid)
-                  with Unix.Unix_error _ -> ()
-                end
-                else begin
-                  Unix.sleepf 0.1;
-                  wait (tries - 1)
-                end
-            | _ -> ()
-            | exception Unix.Unix_error _ -> ()
-          in
-          wait 50)
-    slots;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec collect () =
+    match live () with
+    | [] -> ()
+    | children ->
+        let left = deadline -. Unix.gettimeofday () in
+        if left > 0.0 then begin
+          reap_exited (await_exits children left) (fun _ _ -> ());
+          collect ()
+        end
+        else begin
+          List.iter kill children;
+          reap_exited children (fun _ _ -> ())
+        end
+  in
+  collect ();
   (p, tax)
 
 (* ------------------------------- run ------------------------------ *)
@@ -433,7 +464,10 @@ let run cfg =
           (fun s -> if not cfg.quiet then print_endline s)
           fmt
       in
-      let p0 = progress ~store_dir:cfg.store_dir ~queue m in
+      (* [plan] has just checked every record; reuse its verdicts
+         rather than loading the store a second time. *)
+      let total = List.length (distinct_tasks m) in
+      let p0 = progress_of ~queue ~total ~published:(total - outstanding) in
       say "serve: %d task(s), %d already published, %d outstanding"
         p0.total p0.published outstanding;
       let finish ?tax p =

@@ -9,7 +9,13 @@
     manifest returns immediately (the warm-resume path).
 
     Supervision (all of it driven off artifacts the fleet already
-    produces — stream files, lease files, the store):
+    produces — stream files, lease files, the store — plus one exit
+    pipe per worker):
+
+    - {b Exit watch}: the watch loop blocks in [select] on the
+      workers' exit pipes, so a worker's exit (clean or a death) wakes
+      it at once: the worker is reaped and completion is re-checked
+      straight away. Between exits the loop runs once per [poll].
 
     - {b Heartbeats}: each spawned worker streams task/progress records
       to [streams/worker-<i>.jsonl]; growth of that file is the
@@ -37,7 +43,11 @@ type config = {
           report without waiting — external workers drain it. *)
   ttl : float;  (** lease lifetime handed to spawned workers *)
   retries : int;  (** per-task retry budget handed to spawned workers *)
-  poll : float;  (** watch-loop period, seconds *)
+  poll : float;
+      (** supervision cadence, seconds: progress line, heartbeat,
+          watchdog, respawn and chaos-monkey checks run at least this
+          often. Not a sleep between completion checks — worker exits
+          wake the watch loop at once. *)
   watchdog : float;
       (** stall detector: SIGKILL a worker whose stream has not grown
           for this many seconds. 0 disables stall detection. Must
@@ -82,6 +92,29 @@ val plan :
 val backoff : int -> float
 (** Respawn delay after the [n]-th consecutive worker death (from 0):
     0.5 s doubling, capped at 15 s. Exposed for tests. *)
+
+(** {2 Exit watch}
+
+    Each spawned worker gets an exit pipe whose write end only the
+    child holds, so the read end reads EOF exactly when the child
+    exits. Exposed for tests. *)
+
+type child = { pid : int; exit_fd : Unix.file_descr }
+
+val spawn_watched : string array -> child
+(** [spawn_watched argv] runs [argv.(0)] (searched in the path) with
+    the parent's stdio and an exit pipe. The write end is inherited by
+    this child only: it is close-on-exec for every other spawn, and
+    the parent closes its copy at once. *)
+
+val await_exits : child list -> float -> child list
+(** The children whose exit fd reads EOF within [timeout] seconds
+    (empty on timeout). Reap each one before waiting again, or it
+    returns at once. *)
+
+val reap : child -> bool
+(** Close the exit fd and [waitpid] the child; [true] iff it exited
+    with status 0. *)
 
 val run : config -> int
 (** The [ebrc serve] entry point; returns the process exit code:

@@ -165,11 +165,18 @@ let run cfg =
             else execute digest scenario_cfg)
   in
   let stop = ref false in
+  (* Idle rescans back off from 1 ms, doubling up to [poll]: a peer's
+     completion is seen within about the time already waited, while a
+     long wait still costs only one rescan per [poll]. *)
+  let idle = ref 0.0 in
+  let back_off () =
+    idle := Float.min cfg.poll (Float.max 0.001 (2.0 *. !idle));
+    Unix.sleepf !idle
+  in
   while not !stop do
     Stream.wall_tick ();
     match Task_queue.pending q with
-    | [] ->
-        if cfg.exit_when_drained then stop := true else Unix.sleepf cfg.poll
+    | [] -> if cfg.exit_when_drained then stop := true else back_off ()
     | pending ->
         let progressed = ref false in
         List.iter
@@ -184,12 +191,13 @@ let run cfg =
                   run_claimed digest)
           pending;
         if not (under_cap ()) then stop := true
-        else if not !progressed then
+        else if !progressed then idle := 0.0
+        else
           (* Everything pending is leased by live peers (or their
-             leases have not yet expired): wait and rescan — never
+             leases have not yet expired): back off and rescan — never
              exit while task files remain, or a peer's SIGKILL would
              strand its task. *)
-          Unix.sleepf cfg.poll
+          back_off ()
   done;
   Pool.shutdown pool;
   { ran = !ran; cached = !cached; failed = !failed }

@@ -21,7 +21,11 @@ type config = {
           a run that outlives its lease is merely re-runnable, not
           wrong. *)
   retries : int;  (** extra in-process attempts per crashing task *)
-  poll : float;  (** rescan sleep when everything pending is leased *)
+  poll : float;
+      (** cap on the idle rescan backoff. While every pending task is
+          leased by a peer (or, with [exit_when_drained = false], the
+          queue is empty) the worker rescans after 1 ms, doubling each
+          time up to [poll]; any claim resets it to 1 ms. *)
   max_tasks : int option;  (** stop after this many executed tasks *)
   exit_when_drained : bool;
       (** return once the queue has no task files left; otherwise keep

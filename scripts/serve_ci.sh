@@ -3,7 +3,8 @@
 # docs promise: a fresh 6-task sweep completes with 2 workers, a
 # partial store resumes by recomputing only what is missing (and
 # byte-identically), --workers 0 is a warm resume over a complete
-# store, and a missing manifest or an invalid task config exits 2.
+# store, a missing manifest or an invalid task config exits 2, and
+# more workers than tasks still completes.
 set -eu
 
 EBRC=_build/default/bin/ebrc_cli.exe
@@ -60,4 +61,15 @@ set -e
 [ "$RC" = 2 ] || fail "NaN-duration manifest should exit 2, got $RC"
 [ ! -e "$WORK/nan.json.queue" ] || fail "NaN-duration manifest primed a queue"
 
-echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, exit codes)"
+# 6. More workers than tasks: 4 workers serve a 2-task manifest, so
+#    idle workers exit while their peers still compute. Serve must drop
+#    each reaped worker from its exit wait (a stale one would spin) and
+#    still complete with every record published.
+TWO="$WORK/two.json"
+"$EBRC" manifest "$TWO" --tasks 2 --duration 5 >/dev/null
+timeout 60 "$EBRC" serve "$TWO" --workers 4 --quiet \
+  || fail "4-worker serve of 2 tasks exited $?"
+[ "$(ls "$TWO.queue/store" | grep -c '\.json$')" = 2 ] \
+  || fail "4-worker serve of 2 tasks left an incomplete store"
+
+echo "serve_ci: OK (fresh sweep, partial resume byte-identical, warm resume, exit codes, more workers than tasks)"

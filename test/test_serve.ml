@@ -1,8 +1,8 @@
 (* Tests for the multi-process sweep service: manifest codec
    exactness, lease-claim atomicity (including cross-process
-   contention via fork — safe here because these tests spawn no
-   domains before forking), crashed-worker recovery, store tmp GC, and
-   the serve planner's resume semantics. *)
+   contention via fork — safe here because every fork runs before the
+   one test that spawns a domain), crashed-worker recovery, store tmp
+   GC, the serve planner's resume semantics and its exit watch. *)
 
 module Manifest = Ebrc_serve.Manifest
 module Task_queue = Ebrc_serve.Task_queue
@@ -472,6 +472,38 @@ let test_worker_records_bad_spec () =
   | [ (d, _) ] -> Alcotest.(check string) "failure recorded" "nonsense" d
   | l -> Alcotest.failf "expected 1 failure, got %d" (List.length l)
 
+(* The last task is leased by a peer that completes it 0.2 s later: a
+   worker idling behind that lease must see the queue drain and return
+   promptly, not sleep out a full [poll] (30 s here). *)
+let test_worker_exits_after_drain () =
+  let root = tmp_dir "drain" in
+  let qdir = Filename.concat root "queue" in
+  let store = Filename.concat root "store" in
+  let q = Task_queue.create ~dir:qdir () in
+  ignore
+    (Serve.plan ~store_dir:store ~queue:q
+       (Manifest.demo ~tasks:1 ~duration:3.0 ()));
+  let digest = List.hd (Task_queue.pending q) in
+  Alcotest.(check bool) "peer holds the lease" true
+    (Task_queue.claim q ~worker:"peer" ~ttl:300.0 ~digest = Task_queue.Claimed);
+  let peer =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.2;
+        Task_queue.complete q ~digest)
+  in
+  let t0 = Unix.gettimeofday () in
+  let o =
+    Worker.run
+      { (Worker.default ~queue_dir:qdir) with store_dir = store; poll = 30.0 }
+  in
+  let waited = Unix.gettimeofday () -. t0 in
+  Domain.join peer;
+  Alcotest.(check int) "ran nothing" 0 o.Worker.ran;
+  Alcotest.(check (list string)) "queue drained" [] (Task_queue.pending q);
+  if waited >= 5.0 then
+    Alcotest.failf "worker returned %.1f s after start (peer done at 0.2 s)"
+      waited
+
 let test_serve_progress_and_exit_codes () =
   let root = tmp_dir "serve" in
   let path = Filename.concat root "m.json" in
@@ -511,6 +543,47 @@ let test_serve_backoff () =
   in
   Alcotest.(check bool) "monotone nondecreasing" true (monotone 0)
 
+(* A short child's exit fd reads EOF while a later, longer sibling is
+   still alive — so the sibling inherited no write end — and reaping
+   closes every fd the watch opened. *)
+let test_serve_exit_watch () =
+  let fd_dir = "/proc/self/fd" in
+  let open_fds () =
+    if Sys.file_exists fd_dir then Array.length (Sys.readdir fd_dir) else 0
+  in
+  let fds0 = open_fds () in
+  let short = Serve.spawn_watched [| "true" |] in
+  let long = Serve.spawn_watched [| "sleep"; "5" |] in
+  let long_reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !long_reaped then
+        try Unix.kill long.Serve.pid Sys.sigkill with Unix.Unix_error _ -> ())
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      let rec first_exit () =
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 then
+          Alcotest.fail "short child's exit fd did not read EOF within 2 s"
+        else
+          match Serve.await_exits [ short; long ] left with
+          | [] -> first_exit ()
+          | exited -> exited
+      in
+      Alcotest.(check bool) "only the short child exited" true
+        (first_exit () = [ short ]);
+      Alcotest.(check int) "exit fd reads EOF" 0
+        (Unix.read short.Serve.exit_fd (Bytes.create 1) 0 1);
+      Alcotest.(check bool) "long child still alive" true
+        (fst (Unix.waitpid [ Unix.WNOHANG ] long.Serve.pid) = 0);
+      Alcotest.(check bool) "short child exited 0" true (Serve.reap short);
+      Alcotest.(check int) "one exit fd left open" (fds0 + 1) (open_fds ());
+      Unix.kill long.Serve.pid Sys.sigkill;
+      long_reaped := true;
+      Alcotest.(check bool) "killed child is not a clean exit" false
+        (Serve.reap long);
+      Alcotest.(check int) "fd count back to start" fds0 (open_fds ()))
+
 let () =
   Alcotest.run "serve"
     [
@@ -548,11 +621,14 @@ let () =
           Alcotest.test_case "killed-worker recovery" `Quick
             test_worker_killed_recovery;
           Alcotest.test_case "bad spec" `Quick test_worker_records_bad_spec;
+          Alcotest.test_case "exits promptly after drain" `Quick
+            test_worker_exits_after_drain;
         ] );
       ( "serve",
         [
           Alcotest.test_case "progress and exit codes" `Quick
             test_serve_progress_and_exit_codes;
           Alcotest.test_case "restart backoff" `Quick test_serve_backoff;
+          Alcotest.test_case "exit watch" `Quick test_serve_exit_watch;
         ] );
     ]
